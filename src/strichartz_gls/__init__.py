@@ -34,6 +34,7 @@ from .propagators import (
     SCHRODINGER,
     EvolvedGaussian,
     PropagatorKind,
+    check_window,
     fractional,
     laplacian_propagate,
     propagate,

@@ -1,7 +1,7 @@
 """Experiment runner: JSON configs in, CSV/JSON artifacts out.
 
 Usage:
-    strichartz-gls run <config.json> [--out DIR] [--verbose]
+    strichartz-gls run <config.json> [--out DIR]
     strichartz-gls report <DIR>
 
 Exit codes: 0 success, 1 config error, 2 numerical-domain error.
@@ -13,9 +13,9 @@ asymptotic | fit).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -43,9 +43,9 @@ from .propagators import (
     HEAT,
     SCHRODINGER,
     PropagatorKind,
+    check_window,
     fractional,
     propagate,
-    safe_time_bound,
 )
 from .spaces import PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_gls
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
@@ -98,6 +98,17 @@ def _parse_real(v) -> float:
             return INF
         return float(v)
     return float(v)
+
+
+def _real_list(cfg: dict, path: str) -> list:
+    """A config field that must be a list of reals ("inf" allowed)."""
+    node = _get(cfg, path)
+    if isinstance(node, list):
+        try:
+            return [_parse_real(v) for v in node]
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"field {path} must be a list of numbers, got {node!r}")
 
 
 def parse_psi(block, path: str) -> PsiSpec:
@@ -155,7 +166,8 @@ def parse_grid(cfg: dict):
         raise ConfigError(f"invalid grid: {e}")
 
 
-def parse_initial(cfg: dict, grid) -> GridFunction:
+def parse_initial(cfg: dict, grid) -> tuple[GridFunction, float]:
+    """(initial data, Re sigma^2 for the safe window; 1.0 for the indicator)."""
     block = _get(cfg, "initial", default={"type": "gaussian", "sigma2": 1.0})
     typ = _get(block, "type", str)
     if typ == "gaussian":
@@ -164,9 +176,9 @@ def parse_initial(cfg: dict, grid) -> GridFunction:
             s2 = complex(s2[0], s2[1])
         else:
             s2 = complex(_parse_real(s2))
-        return gaussian_sample(grid, GaussianSpec(s2, grid.dim))
+        return gaussian_sample(grid, GaussianSpec(s2, grid.dim)), s2.real
     if typ == "indicator":
-        return box_indicator(grid, _get(block, "nodes_per_axis", int))
+        return box_indicator(grid, _get(block, "nodes_per_axis", int)), 1.0
     raise ConfigError("field initial.type must be gaussian|indicator")
 
 
@@ -187,15 +199,6 @@ def parse_kind(cfg: dict, default="heat") -> PropagatorKind:
     raise ConfigError("field kind.name must be heat|schrodinger|fractional")
 
 
-def _check_window(t_grid, grid, kind, sigma2_real: float):
-    bound = safe_time_bound(grid, kind, sigma2_real)
-    if float(np.max(t_grid)) > bound:
-        raise ConfigError(
-            f"t_grid exceeds the wrap-around-safe window: max t = "
-            f"{float(np.max(t_grid)):g} > safe bound {bound:.6g} for this grid"
-        )
-
-
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -210,14 +213,13 @@ def _write_summary(path: Path, data: dict):
         fh.write("\n")
 
 
-def _initial_sigma2_real(cfg: dict) -> float:
-    block = _get(cfg, "initial", default={"type": "gaussian", "sigma2": 1.0})
-    if block.get("type", "gaussian") == "gaussian":
-        s2 = block.get("sigma2", 1.0)
-        if isinstance(s2, list):
-            return float(s2[0])
-        return _parse_real(s2)
-    return 1.0
+@contextlib.contextmanager
+def _config_fault():
+    """Report a ValueError raised in the block as a config fault (exit 1)."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 # ---------------------------------------------------------------- experiments
@@ -225,10 +227,9 @@ def _initial_sigma2_real(cfg: dict) -> float:
 
 def _run_norms(cfg, out, prefix):
     grid = parse_grid(cfg)
-    f = parse_initial(cfg, grid)
-    pg = cfg.get("p_grid")
-    if isinstance(pg, list):
-        p = np.asarray([_parse_real(v) for v in pg])
+    f, _ = parse_initial(cfg, grid)
+    if isinstance(cfg.get("p_grid"), list):
+        p = np.asarray(_real_list(cfg, "p_grid"))
     else:
         a = _get(cfg, "p_grid.a", float)
         b = _get(cfg, "p_grid.b", float)
@@ -249,7 +250,7 @@ def _run_norms(cfg, out, prefix):
 
 def _run_fundamental(cfg, out, prefix):
     psi = parse_psi(_get(cfg, "psi"), "psi")
-    deltas = [_parse_real(v) for v in _get(cfg, "deltas")]
+    deltas = _real_list(cfg, "deltas")
     regime = _get(cfg, "regime", str, default=None)
     rows, ratios = [], []
     for delta in deltas:
@@ -272,7 +273,7 @@ def _run_fundamental(cfg, out, prefix):
 
 def _run_propagate(cfg, out, prefix):
     grid = parse_grid(cfg)
-    f = parse_initial(cfg, grid)
+    f, _ = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
     t = _get(cfg, "t", float)
     u = propagate(f, kind, t)
@@ -290,13 +291,14 @@ def _run_propagate(cfg, out, prefix):
 
 def _run_functional_sweep(cfg, out, prefix):
     grid = parse_grid(cfg)
-    f = parse_initial(cfg, grid)
+    f, sigma2_real = parse_initial(cfg, grid)
     psiX = parse_psi(_get(cfg, "X"), "X")
     psiY = parse_psi(_get(cfg, "Y"), "Y")
     t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
     functional = _get(cfg, "functional", str)
     kind = parse_kind(cfg) if functional == "SP" else SCHRODINGER
-    _check_window(t_grid, grid, kind, _initial_sigma2_real(cfg))
+    with _config_fault():
+        check_window(t_grid, grid, kind, sigma2_real)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if functional == "SP":
@@ -336,15 +338,12 @@ def _run_witness(cfg, out, prefix, which: str):
     t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
     if which == "sp":
         kind = parse_kind(cfg)
-        _check_window(t_grid, grid, kind, 1.0)
         nu = parse_psi(_get(cfg, "nu"), "nu")
-        try:
+    with _config_fault():
+        if which == "sp":
             rep = sp_witness(nu, t_grid, grid, kind=kind)
-        except ValueError as e:
-            raise ConfigError(str(e))
-    else:
-        _check_window(t_grid, grid, SCHRODINGER, 1.0)
-        rep = sr_witness(t_grid, grid)
+        else:
+            rep = sr_witness(t_grid, grid)
     rows = [
         [_fmt(t), _fmt(g), _fmt(c), _fmt(gap), "grid"]
         for t, g, c, gap in zip(rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)
@@ -368,12 +367,9 @@ def _run_moment_law(cfg, out, prefix):
     grid = parse_grid(cfg)
     d = _get(cfg, "d", int)
     t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
-    _check_window(t_grid, grid, SCHRODINGER, 1.0)
-    r_list = [_parse_real(v) for v in _get(cfg, "r_list")]
-    try:
+    r_list = _real_list(cfg, "r_list")
+    with _config_fault():
         rows = gaussian_moment_law_check(d, r_list, t_grid, grid)
-    except ValueError as e:
-        raise ConfigError(str(e))
     _write_csv(out / f"{prefix}.csv",
                ["r", "fitted_slope", "predicted_slope", "provenance"],
                [[_fmt(r), _fmt(f), _fmt(p), "fit"] for r, f, p in rows])
@@ -405,23 +401,20 @@ def _run_mixed_norm(cfg, out, prefix):
 
 def _run_rate_report(cfg, out, prefix):
     grid = parse_grid(cfg)
-    f = parse_initial(cfg, grid)
+    f, sigma2_real = parse_initial(cfg, grid)
     psiX = parse_psi(_get(cfg, "X"), "X")
     psiY = parse_psi(_get(cfg, "Y"), "Y")
     t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
     kind = parse_kind(cfg)
-    _check_window(t_grid, grid, kind, _initial_sigma2_real(cfg))
+    with _config_fault():
+        check_window(t_grid, grid, kind, sigma2_real)
+    with_log = _get(cfg, "with_log", default=True)
+    if not isinstance(with_log, bool):
+        raise ConfigError(f"field with_log must be true or false, got {with_log!r}")
     norm_x = space_norm(f, psiX)
     if norm_x == INF or norm_x == 0.0:
         raise ValueError("initial data is not admissible in X")
-    vals = []
-    from .spaces import gls_norm
-    from .functionals import space_profile
-    for t in t_grid:
-        u = propagate(f, kind, float(t))
-        vals.append(gls_norm(space_profile(u, psiY), psiY) / norm_x)
-    vals = np.asarray(vals)
-    with_log = bool(_get(cfg, "with_log", default=True))
+    vals = np.asarray([space_norm(propagate(f, kind, float(t)), psiY) / norm_x for t in t_grid])
     fit = fit_rate(t_grid, vals, with_log=with_log)
     pred_block = _get(cfg, "predicted")
     source = _get(pred_block, "source", str)
@@ -517,7 +510,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--verbose", action="store_true")
     p_rep = sub.add_parser("report", help="summarize artifacts in a directory")
     p_rep.add_argument("dir")
     args = parser.parse_args(argv)

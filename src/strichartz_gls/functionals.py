@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

@@ -9,7 +9,7 @@ that decay inside the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,25 +55,23 @@ class Grid:
         """Node coordinates along one axis: x_k = -L + k*h."""
         return -self.half_extent + self.spacing * np.arange(self.points_per_axis)
 
-    def squared_radius(self) -> np.ndarray:
-        """||x||^2 at every node, shape self.shape."""
-        x = self.axis_coords()
-        r2 = np.zeros(self.shape)
+    def _sum_of_squares(self, axis_values: np.ndarray) -> np.ndarray:
+        """sum_j v_(k_j)^2 over the d axes at every node, shape self.shape."""
+        out = np.zeros(self.shape)
         for axis in range(self.dim):
             sh = [1] * self.dim
             sh[axis] = self.points_per_axis
-            r2 = r2 + (x ** 2).reshape(sh)
-        return r2
+            out = out + (axis_values ** 2).reshape(sh)
+        return out
+
+    def squared_radius(self) -> np.ndarray:
+        """||x||^2 at every node, shape self.shape."""
+        return self._sum_of_squares(self.axis_coords())
 
     def frequency_squared(self) -> np.ndarray:
         """||xi||^2 on the discrete dual grid, xi_k = pi*k/L in FFT order."""
         xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
-        k2 = np.zeros(self.shape)
-        for axis in range(self.dim):
-            sh = [1] * self.dim
-            sh[axis] = self.points_per_axis
-            k2 = k2 + (xi ** 2).reshape(sh)
-        return k2
+        return self._sum_of_squares(xi)
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
@@ -160,17 +158,7 @@ def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Quadrature L_p norm; p = math.inf gives the node maximum of |f|."""
-    if p == INF:
-        return float(np.max(np.abs(f.values)))
-    if not p >= 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    a = np.abs(f.values)
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    # factor out the max to avoid overflow for large p
-    s = float(np.sum((a / m) ** p)) * f.grid.cell_volume
-    return m * s ** (1.0 / p)
+    return float(moment_profile(f, [p]).values[0])
 
 
 def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
@@ -229,25 +217,26 @@ class MomentProfile:
 
 
 def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfile:
-    """Evaluate lp_norm at each exponent of a strictly increasing grid."""
+    """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid.
+
+    The max of |f| is factored out of every finite-p sum to avoid overflow.
+    """
     p = np.asarray(list(p_grid), dtype=float)
     if p.size == 0:
         raise ValueError("empty exponent grid")
+    for pi in p:
+        if not pi >= 1:
+            raise ValueError(f"exponent must satisfy p >= 1, got {pi}")
     a = np.abs(f.values)
     m = float(a.max())
     vol = f.grid.cell_volume
-    out = np.empty(p.size)
+    out = np.zeros(p.size)
     if m == 0.0:
-        out[:] = 0.0
         return MomentProfile(p, out, provenance)
-    scaled = a / m
+    # the full-grid copy a / m is made only when a finite exponent needs it
+    scaled = a / m if np.any(p != INF) else None
     for i, pi in enumerate(p):
-        if pi == INF:
-            out[i] = m
-        elif pi >= 1:
-            out[i] = m * (float(np.sum(scaled ** pi)) * vol) ** (1.0 / pi)
-        else:
-            raise ValueError(f"exponent must satisfy p >= 1, got {pi}")
+        out[i] = m if pi == INF else m * (float(np.sum(scaled ** pi)) * vol) ** (1.0 / pi)
     return MomentProfile(p, out, provenance)
 
 

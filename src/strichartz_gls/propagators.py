@@ -4,6 +4,7 @@ Multipliers on the dual grid (xi_k = pi*k/L):
   heat            exp(-t ||xi||^2 / 2)
   schrodinger     exp(-i t ||xi||^2 / 2)
   fractional(a)   exp(-t ||xi||^a),  a in (0, 2]
+  laplacian       -||xi||^2 exp(-t ||xi||^a)  (laplacian_propagate)
 
 Note the fractional multiplier at a = 2 has no 1/2, so S_2(t) equals the
 heat flow at doubled time; this identity is asserted in tests rather than
@@ -30,6 +31,7 @@ __all__ = [
     "propagate_gaussian_exact",
     "laplacian_propagate",
     "safe_time_bound",
+    "check_window",
 ]
 
 
@@ -66,15 +68,22 @@ def _multiplier(grid: Grid, kind: PropagatorKind, t: float) -> np.ndarray:
     return np.exp(-t * k2 ** (kind.alpha / 2.0))
 
 
+def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
+    """Forward transform, pointwise multiplier, inverse transform.
+
+    The operand order mult * f_hat is fixed: with fused multiply-add the
+    complex product is not bitwise commutative.
+    """
+    return GridFunction(f.grid, np.fft.ifftn(np.multiply(mult, np.fft.fftn(f.values))))
+
+
 def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
-    """Forward transform, pointwise multiplier, inverse transform."""
+    """The flow of the given kind at time t, applied through its multiplier."""
     if t < 0 and kind.kind != "schrodinger":
         raise ValueError(f"negative time is only legal for schrodinger, got t={t}")
     if t == 0:
         return GridFunction(f.grid, f.values.copy())
-    fh = np.fft.fftn(f.values)
-    vals = np.fft.ifftn(fh * _multiplier(f.grid, kind, t))
-    return GridFunction(f.grid, vals)
+    return _apply_multiplier(f, _multiplier(f.grid, kind, t))
 
 
 @dataclass(frozen=True)
@@ -90,22 +99,19 @@ class EvolvedGaussian:
         if not complex(self.sigma2).real > 0:
             raise ValueError("resulting variance must have positive real part")
 
-    def spec(self) -> GaussianSpec:
-        return GaussianSpec(self.sigma2, self.dim)
-
 
 def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> EvolvedGaussian:
-    """Variance update: heat s2 -> s2 + t; schrodinger s2 -> s2 + i t."""
+    """Variance update: heat s2 -> s2 + t; schrodinger s2 -> s2 + i t;
+    fractional order 2 s2 -> s2 + 2t (S_2(t) = T_2t)."""
     s2 = complex(spec.sigma2)
-    if kind.kind == "heat":
-        if t < 0:
-            raise ValueError("negative time is not legal for heat")
-        out = s2 + t
-    elif kind.kind == "schrodinger":
-        out = s2 + 1j * t
-    else:
-        raise ValueError("exact Gaussian evolution covers heat and schrodinger only")
-    return EvolvedGaussian(s2, t, out, spec.dim)
+    if kind.kind == "schrodinger":
+        return EvolvedGaussian(s2, t, s2 + 1j * t, spec.dim)
+    if kind.kind == "fractional" and kind.alpha != 2:
+        raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
+    if t < 0:
+        raise ValueError(f"negative time is not legal for {kind.kind}")
+    rate = 1.0 if kind.kind == "heat" else 2.0
+    return EvolvedGaussian(s2, t, s2 + rate * t, spec.dim)
 
 
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:
@@ -115,9 +121,7 @@ def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction
     if not t > 0:
         raise ValueError("laplacian_propagate requires t > 0")
     k2 = f.grid.frequency_squared()
-    mult = -k2 * np.exp(-t * k2 ** (alpha / 2.0))
-    vals = np.fft.ifftn(np.fft.fftn(f.values) * mult)
-    return GridFunction(f.grid, vals)
+    return _apply_multiplier(f, -k2 * np.exp(-t * k2 ** (alpha / 2.0)))
 
 
 def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) -> float:
@@ -136,3 +140,14 @@ def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) 
         # variance grows as s2 + 2t under this multiplier
         return (w * w - sigma2_real) / 2.0
     return w ** kind.alpha
+
+
+def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0):
+    """Raise ValueError when the largest time lies beyond safe_time_bound."""
+    bound = safe_time_bound(grid, kind, sigma2_real)
+    tmax = float(np.max(t_grid))
+    if tmax > bound:
+        raise ValueError(
+            f"t_grid exceeds the wrap-around-safe window: max t = "
+            f"{tmax:g} > safe bound {bound:.6g} for this grid ({kind.kind})"
+        )

@@ -19,22 +19,20 @@ from .grid_field import (
     INF,
     GaussianSpec,
     Grid,
-    GridFunction,
     MomentProfile,
     gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
-    moment_profile,
 )
 from .propagators import (
     HEAT,
     SCHRODINGER,
     PropagatorKind,
-    fractional,
+    check_window,
     propagate,
-    safe_time_bound,
+    propagate_gaussian_exact,
 )
-from .spaces import PsiSpec, exponent_grid, fundamental_gls, gls_norm
+from .spaces import PsiSpec, fundamental_gls, gls_norm
 
 __all__ = ["WitnessReport", "sp_witness", "sr_witness", "gaussian_moment_law_check"]
 
@@ -74,16 +72,13 @@ class WitnessReport:
         return 0.5 * float(self.closed_values.min())
 
 
-def _check_window(t_grid: np.ndarray, grid: Grid, kind: PropagatorKind):
-    bound = safe_time_bound(grid, kind, sigma2_real=1.0)
-    tmax = float(np.max(t_grid))
-    if tmax > bound:
-        raise ValueError(
-            f"t = {tmax} exceeds the wrap-around-safe bound {bound:.6g} "
-            f"for this grid ({kind.kind})"
-        )
-    if np.any(np.asarray(t_grid) <= 2):
-        raise ValueError("witness times must exceed 2")
+def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
+    """t_grid as an array, checked against the safe window and t > 2."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    check_window(t_grid, grid, kind)
+    if np.any(t_grid <= 2):
+        raise ValueError("t_grid: witness times must exceed 2")
+    return t_grid
 
 
 def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> WitnessReport:
@@ -98,25 +93,20 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
         raise ValueError("fractional witness has a closed form only at order 2")
     if kind.kind == "schrodinger":
         raise ValueError("use sr_witness for the dispersive group")
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_window(t_grid, grid, kind)
+    t_grid = _witness_times(t_grid, grid, kind)
     d = grid.dim
     expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
 
-    f = gaussian_sample(grid, GaussianSpec(1.0, d))
+    spec = GaussianSpec(1.0, d)
+    f = gaussian_sample(grid, spec)
     norm_x_grid = lp_norm(f, 1.0)
-
-    if nu.variant == "degenerate":
-        p_grid = np.array([nu.s])
-    else:
-        p_grid = exponent_grid(nu.a, nu.b, per_decade=64, min_offset=1e-3)
 
     grid_vals = np.empty(t_grid.size)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        variance = 1.0 + t if kind.kind == "heat" else 1.0 + 2.0 * t
-        u = propagate(f, kind, float(t))
-        prof_grid = moment_profile(u, p_grid, "grid")
+        variance = propagate_gaussian_exact(spec, kind, float(t)).sigma2
+        prof_grid = space_profile(propagate(f, kind, float(t)), nu, "grid")
+        p_grid = prof_grid.p_grid
         prof_exact = MomentProfile(
             p_grid,
             np.array([gaussian_lp_exact(variance, d, float(p)) for p in p_grid]),
@@ -143,8 +133,7 @@ def sr_witness(t_grid, grid: Grid, d: int | None = None) -> WitnessReport:
     Closed form: t^(d/2) (2 pi)^(-d/2) (1 + t^2)^(-d/4), which tends to the
     positive constant (2 pi)^(-d/2).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_window(t_grid, grid, SCHRODINGER)
+    t_grid = _witness_times(t_grid, grid, SCHRODINGER)
     d = grid.dim if d is None else d
     if d != grid.dim:
         raise ValueError("dimension does not match grid")
@@ -173,8 +162,7 @@ def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:
 
     Returns rows of (r, fitted_slope, predicted_slope).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_window(t_grid, grid, SCHRODINGER)
+    t_grid = _witness_times(t_grid, grid, SCHRODINGER)
     if d != grid.dim:
         raise ValueError("dimension does not match grid")
     for r in r_list:

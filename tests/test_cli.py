@@ -159,3 +159,61 @@ def test_mixed_norm_summary(tmp_path):
     data = json.loads(next(tmp_path.glob("*_summary.json")).read_text())
     assert data["experiment"] == "mixed-norm"
     assert data["finite"] is True
+
+
+WITNESS_CONFIGS = {
+    "witness-sp": {"nu": {"variant": "table", "points": {"2.0": 1.0, "4.0": 1.0}}},
+    "witness-sr": {},
+    "moment-law": {"r_list": [2, 4, "inf"]},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(WITNESS_CONFIGS))
+def test_witness_time_at_most_two_exit_code(experiment, tmp_path, capsys):
+    cfg = tmp_path / "early.json"
+    cfg.write_text(json.dumps({
+        "experiment": experiment,
+        "d": 1,
+        "grid": {"L": 200.0, "N": 8192},
+        "t_grid": [1, 4, 8, 16],
+        **WITNESS_CONFIGS[experiment],
+    }))
+    assert run(str(cfg), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "t_grid" in err
+
+
+@pytest.mark.parametrize("config, field, value", [
+    ("moment_law", "r_list", 5),
+    ("moment_law", "r_list", ["abc"]),
+    ("fundamental_zeta", "deltas", 5),
+    ("fundamental_zeta", "deltas", [1e-6, None]),
+    ("norms_gaussian", "p_grid", [1, "two"]),
+])
+def test_malformed_real_list_exit_code(config, field, value, tmp_path, capsys):
+    base = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    base[field] = value
+    cfg = tmp_path / "bad_list.json"
+    cfg.write_text(json.dumps(base))
+    assert run(str(cfg), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert field in err
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_with_log_must_be_boolean(value, tmp_path, capsys):
+    base = json.loads((CONFIG_DIR / "rate_report.json").read_text())
+    base["with_log"] = value
+    cfg = tmp_path / "with_log.json"
+    cfg.write_text(json.dumps(base))
+    assert run(str(cfg), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "with_log" in err
+
+
+def test_verbose_flag_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["run", str(CONFIG_DIR / "norms_gaussian.json"), "--out", str(tmp_path), "--verbose"])

@@ -236,3 +236,8 @@ def test_zero_function_norms():
     z = GridFunction(g, np.zeros(64, dtype=complex))
     for p in (1.0, 2.0, INF):
         assert lp_norm(z, p) == 0.0
+    # exponents are checked before the all-zero shortcut
+    with pytest.raises(ValueError):
+        lp_norm(z, 0.5)
+    with pytest.raises(ValueError):
+        moment_profile(z, [0.5, 2.0])

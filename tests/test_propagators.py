@@ -8,6 +8,7 @@ from strichartz_gls import (
     INF,
     SCHRODINGER,
     GaussianSpec,
+    check_window,
     fractional,
     gaussian_lp_exact,
     gaussian_sample,
@@ -26,24 +27,33 @@ def _setup(L=40.0, n=1024, sigma2=1.0):
     return g, f
 
 
-def test_heat_gaussian_exactness():
-    g, f = _setup()
+@pytest.mark.parametrize(
+    "d, L, n", [(1, 40.0, 1024), (2, 20.0, 128), (3, 16.0, 64)], ids=["d1", "d2", "d3"]
+)
+def test_heat_gaussian_exactness(d, L, n):
+    g = make_grid(d, L, n)
+    f = gaussian_sample(g, GaussianSpec(1.0, d))
     t = 4.0
     assert t <= safe_time_bound(g, HEAT, 1.0)
     u = propagate(f, HEAT, t)
-    exact = gaussian_sample(g, GaussianSpec(1.0 + t, 1))
+    exact = gaussian_sample(g, GaussianSpec(1.0 + t, d))
     num = lp_norm(u + (-1.0) * exact, INF)
     den = lp_norm(exact, INF)
     assert num / den < 1e-10
 
 
-def test_schrodinger_gaussian_exactness():
-    g, f = _setup(L=60.0, n=2048)
-    t = 3.0
+@pytest.mark.parametrize(
+    "d, L, n, t",
+    [(1, 60.0, 2048, 3.0), (2, 24.0, 128, 3.0), (3, 12.0, 64, 1.0)],
+    ids=["d1", "d2", "d3"],
+)
+def test_schrodinger_gaussian_exactness(d, L, n, t):
+    g = make_grid(d, L, n)
+    f = gaussian_sample(g, GaussianSpec(1.0, d))
     assert t <= safe_time_bound(g, SCHRODINGER, 1.0)
     u = propagate(f, SCHRODINGER, t)
-    ev = propagate_gaussian_exact(GaussianSpec(1.0, 1), SCHRODINGER, t)
-    exact = gaussian_sample(g, GaussianSpec(ev.sigma2, 1))
+    ev = propagate_gaussian_exact(GaussianSpec(1.0, d), SCHRODINGER, t)
+    exact = gaussian_sample(g, GaussianSpec(ev.sigma2, d))
     num = lp_norm(u + (-1.0) * exact, INF)
     assert num / lp_norm(exact, INF) < 1e-10
 
@@ -116,6 +126,11 @@ def test_exact_gaussian_evolution_specs():
     assert out.sigma2 == pytest.approx(4.0)
     out = propagate_gaussian_exact(GaussianSpec(1.0, 1), SCHRODINGER, 3.0)
     assert out.sigma2 == pytest.approx(1.0 + 3.0j)
+    # S_2(t) = T_2t: order 2 doubles the heat variance increment
+    out = propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(2.0), 3.0)
+    assert out.sigma2 == pytest.approx(7.0)
+    with pytest.raises(ValueError):
+        propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(2.0), -1.0)
     with pytest.raises(ValueError):
         propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(1.5), 3.0)
 
@@ -176,3 +191,13 @@ def test_safe_time_bound_values():
     )
     assert safe_time_bound(g, fractional(2.0), 1.0) == pytest.approx((w * w - 1.0) / 2.0)
     assert safe_time_bound(g, fractional(1.5), 1.0) == pytest.approx(w ** 1.5)
+
+
+def test_check_window():
+    g = make_grid(1, 60.0, 1024)
+    check_window([4.0, 99.0], g, HEAT)
+    with pytest.raises(ValueError, match="t_grid.*safe"):
+        check_window([4.0, 100.0], g, HEAT)
+    # a wider initial Gaussian leaves less room
+    with pytest.raises(ValueError, match="safe"):
+        check_window([4.0, 99.0], g, HEAT, sigma2_real=2.0)
