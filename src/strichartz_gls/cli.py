@@ -4,7 +4,7 @@ Usage:
     strichartz-gls run <config.json> [--out DIR]
     strichartz-gls report <DIR>
 
-Exit codes: 0 success, 1 config error, 2 numerical-domain error.
+Exit codes: 0 success, 1 config or file error, 2 numerical-domain error.
 Outputs are deterministic; re-running a config produces byte-identical
 files.  Every CSV row carries a provenance tag (grid | closed-form |
 asymptotic | fit).
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .functionals import (
+    PREDICTED_SOURCES,
     fit_rate,
     mixed_norm,
     predicted_rate,
@@ -50,21 +51,83 @@ from .propagators import (
 from .spaces import PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_gls
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
 
-EXPERIMENTS = (
-    "norms",
-    "fundamental",
-    "propagate",
-    "functional-sweep",
-    "witness-sp",
-    "witness-sr",
-    "moment-law",
-    "mixed-norm",
-    "rate-report",
-)
+_FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional": None}
+_MISSING = object()
 
 
 class ConfigError(Exception):
     """Invalid or missing configuration fields; message carries the field path."""
+
+
+class Fields:
+    """One JSON object of a config and its dotted path.
+
+    Each accessor reads one field, checks its JSON type without coercing it and
+    raises ConfigError naming the full path; an absent field gives ``default``.
+    """
+
+    def __init__(self, data: dict, path: str = ""):
+        self.data, self.path = data, path
+
+    def name(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def holds(self, key, typ) -> bool:
+        """Whether the field is present with JSON type ``typ`` (for fields of two forms)."""
+        return isinstance(self.data.get(key), typ)
+
+    def read(self, key, default, accept, expected: str):
+        """The field converted by ``accept``, which returns None for a value not ``expected``."""
+        if key not in self.data:
+            if default is _MISSING:
+                raise ConfigError(f"missing config field: {self.name(key)}")
+            return default
+        value = accept(self.data[key])
+        if value is None:
+            raise ConfigError(f"field {self.name(key)} must be {expected}, got {self.data[key]!r}")
+        return value
+
+    def real(self, key, default=_MISSING) -> float:
+        return self.read(key, default, _as_real, 'a number or "inf"')
+
+    def integer(self, key, default=_MISSING) -> int:
+        return self.read(key, default, _as_integer, "an integer")
+
+    def choice(self, key, choices, default=_MISSING) -> str:
+        return self.read(key, default, lambda v: v if isinstance(v, str) and v in choices else None,
+                          "one of " + "|".join(choices))
+
+    def flag(self, key, default=_MISSING) -> bool:
+        return self.read(key, default, lambda v: v if isinstance(v, bool) else None,
+                         "true or false")
+
+    def reals(self, key) -> list:
+        """A non-empty list of reals; entries are named ``key.<index>``."""
+        items = self.read(key, _MISSING, lambda v: v if isinstance(v, list) and v else None,
+                           "a non-empty list of numbers")
+        entries = Fields(dict(enumerate(items)), self.name(key))
+        return [entries.real(i) for i in range(len(items))]
+
+    def block(self, key, default=_MISSING) -> "Fields":
+        data = self.read(key, default, lambda v: v if isinstance(v, dict) else None, "an object")
+        return Fields(data, self.name(key))
+
+
+def _as_real(v):
+    """A JSON number (not a bool, not NaN) or "inf"/"infinity" in any case, as a float."""
+    if isinstance(v, str):
+        return INF if v.lower() in ("inf", "infinity") else None
+    return float(v) if type(v) is float and v == v or type(v) is int and abs(v) < 1e308 else None
+
+
+def _as_integer(v):
+    return int(v) if type(v) is int or type(v) is float and v.is_integer() else None
+
+
+def _plain_name(v):
+    """A file name with no directory part."""
+    ok = isinstance(v, str) and v not in ("", ".", "..") and not any(c in v for c in "/\\\0")
+    return v if ok else None
 
 
 def _fmt(x: float) -> str:
@@ -73,138 +136,84 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _get(cfg: dict, path: str, typ=None, default=KeyError):
-    node = cfg
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(node, dict) or part not in node:
-            if default is not KeyError:
-                return default
-            raise ConfigError(f"missing config field: {'.'.join(parts[: i + 1])}")
-        node = node[part]
-    if typ is not None:
-        try:
-            if typ is float:
-                return _parse_real(node)
-            node = typ(node)
-        except (TypeError, ValueError):
-            raise ConfigError(f"field {path} has invalid value {node!r}")
-    return node
-
-
-def _parse_real(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return INF
-        return float(v)
-    return float(v)
-
-
-def _real_list(cfg: dict, path: str) -> list:
-    """A config field that must be a list of reals ("inf" allowed)."""
-    node = _get(cfg, path)
-    if isinstance(node, list):
-        try:
-            return [_parse_real(v) for v in node]
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"field {path} must be a list of numbers, got {node!r}")
-
-
-def parse_psi(block, path: str) -> PsiSpec:
-    if not isinstance(block, dict):
-        raise ConfigError(f"field {path} must be an object")
-    variant = _get(block, "variant", str)
+@contextlib.contextmanager
+def _config_fault(field: str = ""):
+    """Report a ValueError raised in the block as a config fault (exit 1)."""
     try:
-        if variant == "degenerate":
-            return PsiSpec.degenerate(_get(block, "s", float))
-        if variant == "zeta":
-            return PsiSpec.zeta(
-                _get(block, "a", float),
-                _get(block, "b", float),
-                _get(block, "alpha", float),
-                _get(block, "beta", float),
-            )
-        if variant == "table":
-            pts = _get(block, "points")
-            if not isinstance(pts, dict) or not pts:
-                raise ConfigError(f"field {path}.points must be a non-empty object")
-            return PsiSpec.table({_parse_real(k): _parse_real(v) for k, v in pts.items()})
+        yield
     except ValueError as e:
-        raise ConfigError(f"invalid weight at {path}: {e}")
-    raise ConfigError(f"field {path}.variant must be one of degenerate|zeta|table")
+        raise ConfigError(f"invalid {field}: {e}" if field else str(e))
 
 
-def parse_t_grid(block, path: str) -> np.ndarray:
-    if isinstance(block, list):
-        t = np.asarray([_parse_real(v) for v in block], dtype=float)
+def parse_psi(cfg: Fields, key: str) -> PsiSpec:
+    block = cfg.block(key)
+    variant = block.choice("variant", ("degenerate", "zeta", "table"))
+    with _config_fault(block.path):
+        if variant == "degenerate":
+            return PsiSpec.degenerate(block.real("s"))
+        if variant == "zeta":
+            return PsiSpec.zeta(*(block.real(k) for k in ("a", "b", "alpha", "beta")))
+        points = block.block("points")
+        return PsiSpec.table({float(k): points.real(k) for k in points.data})
+
+
+def parse_t_grid(cfg: Fields) -> np.ndarray:
+    if cfg.holds("t_grid", list):
+        t = np.asarray(cfg.reals("t_grid"), dtype=float)
     else:
-        start = _get(block, "start", float)
-        stop = _get(block, "stop", float)
-        count = _get(block, "count", int)
-        spacing = _get(block, "spacing", str, default="geometric")
+        block = cfg.block("t_grid")
+        start, stop = block.real("start"), block.real("stop")
+        count = block.integer("count")
+        spacing = block.choice("spacing", ("geometric", "linear"), "geometric")
         if count < 1 or stop <= start or start <= 0:
-            raise ConfigError(f"field {path}: need 0 < start < stop and count >= 1")
-        if spacing == "geometric":
-            t = np.geomspace(start, stop, count)
-        elif spacing == "linear":
-            t = np.linspace(start, stop, count)
-        else:
-            raise ConfigError(f"field {path}.spacing must be geometric|linear")
+            raise ConfigError("field t_grid: need 0 < start < stop and count >= 1")
+        t = (np.geomspace if spacing == "geometric" else np.linspace)(start, stop, count)
     if np.any(np.diff(t) <= 0):
-        raise ConfigError(f"field {path}: times must be strictly increasing")
+        raise ConfigError("field t_grid: times must be strictly increasing")
     return t
 
 
-def parse_grid(cfg: dict):
-    d = _get(cfg, "d", int)
-    L = _get(cfg, "grid.L", float)
-    N = _get(cfg, "grid.N", int)
-    try:
+def parse_grid(cfg: Fields):
+    d = cfg.integer("d")
+    block = cfg.block("grid")
+    L, N = block.real("L"), block.integer("N")
+    with _config_fault("grid"):
         return make_grid(d, L, N)
-    except ValueError as e:
-        raise ConfigError(f"invalid grid: {e}")
 
 
-def parse_initial(cfg: dict, grid) -> tuple[GridFunction, float]:
+def parse_initial(cfg: Fields, grid) -> tuple[GridFunction, float]:
     """(initial data, Re sigma^2 for the safe window; 1.0 for the indicator)."""
-    block = _get(cfg, "initial", default={"type": "gaussian", "sigma2": 1.0})
-    typ = _get(block, "type", str)
-    if typ == "gaussian":
-        s2 = block.get("sigma2", 1.0)
-        if isinstance(s2, list):
-            s2 = complex(s2[0], s2[1])
-        else:
-            s2 = complex(_parse_real(s2))
-        return gaussian_sample(grid, GaussianSpec(s2, grid.dim)), s2.real
-    if typ == "indicator":
-        return box_indicator(grid, _get(block, "nodes_per_axis", int)), 1.0
-    raise ConfigError("field initial.type must be gaussian|indicator")
+    block = cfg.block("initial", {"type": "gaussian"})
+    if block.choice("type", ("gaussian", "indicator")) == "indicator":
+        return box_indicator(grid, block.integer("nodes_per_axis")), 1.0
+    if block.holds("sigma2", list):  # [re, im]: a complex variance
+        parts = block.reals("sigma2")
+        if len(parts) != 2:
+            raise ConfigError(f"field {block.name('sigma2')} must be a number or [re, im], "
+                              f"got {block.data['sigma2']!r}")
+        s2 = complex(*parts)
+    else:
+        s2 = complex(block.real("sigma2", 1.0))
+    return gaussian_sample(grid, GaussianSpec(s2, grid.dim)), s2.real
 
 
-def parse_kind(cfg: dict, default="heat") -> PropagatorKind:
-    block = _get(cfg, "kind", default=default)
-    if isinstance(block, str):
-        block = {"name": block}
-    name = _get(block, "name", str)
-    if name == "heat":
-        return HEAT
-    if name == "schrodinger":
-        return SCHRODINGER
-    if name == "fractional":
-        try:
-            return fractional(_get(block, "alpha", float))
-        except ValueError as e:
-            raise ConfigError(f"invalid kind: {e}")
-    raise ConfigError("field kind.name must be heat|schrodinger|fractional")
+def parse_kind(cfg: Fields) -> PropagatorKind:
+    """A flow name, or {"name": ..., "alpha": ...} for the fractional flow; default heat."""
+    if cfg.holds("kind", dict):
+        name = cfg.block("kind").choice("name", _FLOWS)
+    else:
+        name = cfg.choice("kind", _FLOWS, "heat")
+    if name != "fractional":
+        return _FLOWS[name]
+    with _config_fault("kind"):
+        return fractional(cfg.block("kind").real("alpha"))
 
 
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _write_summary(path: Path, data: dict):
@@ -213,27 +222,17 @@ def _write_summary(path: Path, data: dict):
         fh.write("\n")
 
 
-@contextlib.contextmanager
-def _config_fault():
-    """Report a ValueError raised in the block as a config fault (exit 1)."""
-    try:
-        yield
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
 # ---------------------------------------------------------------- experiments
 
 
 def _run_norms(cfg, out, prefix):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
-    if isinstance(cfg.get("p_grid"), list):
-        p = np.asarray(_real_list(cfg, "p_grid"))
+    if cfg.holds("p_grid", list):
+        p = np.asarray(cfg.reals("p_grid"))
     else:
-        a = _get(cfg, "p_grid.a", float)
-        b = _get(cfg, "p_grid.b", float)
-        p = exponent_grid(a, b)
+        block = cfg.block("p_grid")
+        p = exponent_grid(block.real("a"), block.real("b"))
     prof = moment_profile(f, p, "grid")
     _write_csv(
         out / f"{prefix}.csv",
@@ -249,9 +248,9 @@ def _run_norms(cfg, out, prefix):
 
 
 def _run_fundamental(cfg, out, prefix):
-    psi = parse_psi(_get(cfg, "psi"), "psi")
-    deltas = _real_list(cfg, "deltas")
-    regime = _get(cfg, "regime", str, default=None)
+    psi = parse_psi(cfg, "psi")
+    deltas = cfg.reals("deltas")
+    regime = cfg.choice("regime", ("small", "large"), None)
     rows, ratios = [], []
     for delta in deltas:
         num = fundamental_gls(psi, delta)
@@ -275,7 +274,7 @@ def _run_propagate(cfg, out, prefix):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
-    t = _get(cfg, "t", float)
+    t = cfg.real("t")
     u = propagate(f, kind, t)
     flat = u.values.reshape(-1)
     _write_csv(
@@ -292,30 +291,23 @@ def _run_propagate(cfg, out, prefix):
 def _run_functional_sweep(cfg, out, prefix):
     grid = parse_grid(cfg)
     f, sigma2_real = parse_initial(cfg, grid)
-    psiX = parse_psi(_get(cfg, "X"), "X")
-    psiY = parse_psi(_get(cfg, "Y"), "Y")
-    t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
-    functional = _get(cfg, "functional", str)
-    kind = parse_kind(cfg) if functional == "SP" else SCHRODINGER
+    psiX = parse_psi(cfg, "X")
+    psiY = parse_psi(cfg, "Y")
+    t_grid = parse_t_grid(cfg)
+    functional = cfg.choice("functional", ("SP", "SR"))
+    if functional == "SP":
+        kind = parse_kind(cfg)
+        params = {"K1": cfg.real("K1", 1.0), "K2": cfg.real("K2", 1.0), "kind": kind}
+    else:
+        kind = SCHRODINGER
+        params = {"K": cfg.real("K", 1.0), "normalization": cfg.choice(
+            "sr_normalization", ("definition", "proof"), "definition")}
     with _config_fault():
         check_window(t_grid, grid, kind, sigma2_real)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if functional == "SP":
-            curve = w_sp_curve(
-                f, psiX, psiY, t_grid,
-                K1=_get(cfg, "K1", float, default=1.0),
-                K2=_get(cfg, "K2", float, default=1.0),
-                kind=kind,
-            )
-        elif functional == "SR":
-            curve = v_sr_curve(
-                f, psiX, psiY, t_grid,
-                K=_get(cfg, "K", float, default=1.0),
-                normalization=_get(cfg, "sr_normalization", str, default="definition"),
-            )
-        else:
-            raise ConfigError("field functional must be SP|SR")
+        sweep = w_sp_curve if functional == "SP" else v_sr_curve
+        curve = sweep(f, psiX, psiY, t_grid, **params)
     for w in caught:
         print(f"WARNING: {w.message}", file=sys.stderr)
     rows = [[_fmt(t), _fmt(v), "0", "", "grid"] for t, v in zip(curve.t_grid, curve.values)]
@@ -335,10 +327,10 @@ def _run_functional_sweep(cfg, out, prefix):
 
 def _run_witness(cfg, out, prefix, which: str):
     grid = parse_grid(cfg)
-    t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
+    t_grid = parse_t_grid(cfg)
     if which == "sp":
         kind = parse_kind(cfg)
-        nu = parse_psi(_get(cfg, "nu"), "nu")
+        nu = parse_psi(cfg, "nu")
     with _config_fault():
         if which == "sp":
             rep = sp_witness(nu, t_grid, grid, kind=kind)
@@ -365,11 +357,10 @@ def _run_witness(cfg, out, prefix, which: str):
 
 def _run_moment_law(cfg, out, prefix):
     grid = parse_grid(cfg)
-    d = _get(cfg, "d", int)
-    t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
-    r_list = _real_list(cfg, "r_list")
+    t_grid = parse_t_grid(cfg)
+    r_list = cfg.reals("r_list")
     with _config_fault():
-        rows = gaussian_moment_law_check(d, r_list, t_grid, grid)
+        rows = gaussian_moment_law_check(grid.dim, r_list, t_grid, grid)
     _write_csv(out / f"{prefix}.csv",
                ["r", "fitted_slope", "predicted_slope", "provenance"],
                [[_fmt(r), _fmt(f), _fmt(p), "fit"] for r, f, p in rows])
@@ -382,13 +373,13 @@ def _run_moment_law(cfg, out, prefix):
 
 
 def _run_mixed_norm(cfg, out, prefix):
-    theta = parse_psi(_get(cfg, "theta"), "theta")
-    curve = _get(cfg, "curve")
-    power = _get(curve, "power", float)
-    coef = _get(curve, "coef", float, default=1.0)
-    t_max = _get(curve, "t_max", float)
-    t_min = _get(curve, "t_min", float, default=1e-12)
-    count = _get(curve, "count", int, default=2048)
+    theta = parse_psi(cfg, "theta")
+    curve = cfg.block("curve")
+    power = curve.real("power")
+    coef = curve.real("coef", 1.0)
+    t_max = curve.real("t_max")
+    t_min = curve.real("t_min", 1e-12)
+    count = curve.integer("count", 2048)
     t = np.geomspace(t_min, t_max, count)
     y = coef * t ** power
     value = mixed_norm(t, y, theta)
@@ -402,27 +393,26 @@ def _run_mixed_norm(cfg, out, prefix):
 def _run_rate_report(cfg, out, prefix):
     grid = parse_grid(cfg)
     f, sigma2_real = parse_initial(cfg, grid)
-    psiX = parse_psi(_get(cfg, "X"), "X")
-    psiY = parse_psi(_get(cfg, "Y"), "Y")
-    t_grid = parse_t_grid(_get(cfg, "t_grid"), "t_grid")
+    psiX = parse_psi(cfg, "X")
+    psiY = parse_psi(cfg, "Y")
+    t_grid = parse_t_grid(cfg)
     kind = parse_kind(cfg)
     with _config_fault():
         check_window(t_grid, grid, kind, sigma2_real)
-    with_log = _get(cfg, "with_log", default=True)
-    if not isinstance(with_log, bool):
-        raise ConfigError(f"field with_log must be true or false, got {with_log!r}")
+    with_log = cfg.flag("with_log", True)
+    block = cfg.block("predicted")
+    source = block.choice("source", PREDICTED_SOURCES)
+    params = {k: block.real(k) for k in block.data if k != "source"}
+    try:
+        with _config_fault(block.path):
+            pred = predicted_rate(source, **params)
+    except KeyError as e:
+        raise ConfigError(f"missing config field: {block.name(e.args[0])}")
     norm_x = space_norm(f, psiX)
     if norm_x == INF or norm_x == 0.0:
         raise ValueError("initial data is not admissible in X")
     vals = np.asarray([space_norm(propagate(f, kind, float(t)), psiY) / norm_x for t in t_grid])
     fit = fit_rate(t_grid, vals, with_log=with_log)
-    pred_block = _get(cfg, "predicted")
-    source = _get(pred_block, "source", str)
-    params = {k: _parse_real(v) for k, v in pred_block.items() if k != "source"}
-    try:
-        pred = predicted_rate(source, **params)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"invalid predicted block: {e}")
     _write_csv(out / f"{prefix}.csv", ["t", "value", "provenance"],
                [[_fmt(t), _fmt(v), "grid"] for t, v in zip(t_grid, vals)])
     delta_pct = abs(fit.slope - pred.power) / max(abs(pred.power), 1e-30) * 100.0
@@ -453,28 +443,27 @@ _RUNNERS = {
 
 def run(config_path: str, out_dir: str | None = None) -> int:
     try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        print(f"config error: no such file: {config_path}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as e:
-        print(f"config error: invalid JSON: {e}", file=sys.stderr)
+        data = json.loads(Path(config_path).read_bytes())
+    except (OSError, ValueError) as e:  # unreadable file, undecodable bytes or invalid JSON
+        print(f"config error: cannot read {config_path}: {e}", file=sys.stderr)
         return 1
     try:
-        kind = _get(cfg, "experiment", str)
-        if kind not in EXPERIMENTS:
-            raise ConfigError(
-                f"field experiment must be one of {', '.join(EXPERIMENTS)}"
-            )
+        if not isinstance(data, dict):
+            raise ConfigError("the config must be a JSON object")
+        cfg = Fields(data)
+        experiment = cfg.choice("experiment", _RUNNERS)
+        prefix = cfg.read("out_prefix", experiment.replace("-", "_"), _plain_name,
+                           "a plain file name")
         out = Path(out_dir) if out_dir else Path(config_path).with_suffix("")
         out.mkdir(parents=True, exist_ok=True)
-        prefix = cfg.get("out_prefix", kind.replace("-", "_"))
-        _RUNNERS[kind](cfg, out, prefix)
+        _RUNNERS[experiment](cfg, out, prefix)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as e:  # ArithmeticError: float overflow, division by 0
         print(f"numerical-domain error: {e}", file=sys.stderr)
         return 2
     return 0
@@ -487,8 +476,13 @@ def report(artifact_dir: str) -> int:
         print(f"error: no run artifacts found in {artifact_dir}", file=sys.stderr)
         return 1
     for s in summaries:
-        with open(s) as fh:
-            data = json.load(fh)
+        try:
+            data = json.loads(s.read_bytes())
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as e:
+            print(f"error: unreadable summary {s}: {e}", file=sys.stderr)
+            return 1
         parts = [f"{s.name}: experiment={data.get('experiment', '?')}"]
         for key in ("min", "max", "ratio", "fitted_slope", "predicted_slope",
                     "slope_delta_pct", "max_rel_gap", "value"):

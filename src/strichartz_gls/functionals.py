@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 PROFILE_MIN_OFFSET = 1e-3
+PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fractional-laplacian",
+                     "heat-lp", "schrodinger-lp")
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 

@@ -74,6 +74,8 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
             raise ValueError("crossover equation has no root on (a, b)")
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats spaced wider than the tolerance
+            break
         if fun(mid) < 0:
             lo = mid
         else:

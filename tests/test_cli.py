@@ -1,9 +1,11 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from strichartz_gls import cli
 from strichartz_gls.cli import main, report, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -217,3 +219,90 @@ def test_with_log_must_be_boolean(value, tmp_path, capsys):
 def test_verbose_flag_removed(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", str(CONFIG_DIR / "norms_gaussian.json"), "--out", str(tmp_path), "--verbose"])
+
+
+_DROP = object()
+
+# (shipped config, path of the field to change, new value or _DROP, dotted name in the error)
+CONFIG_FAULTS = [
+    ("norms_gaussian", ("initial", "sigma2"), [1], "initial.sigma2"),
+    ("norms_gaussian", ("initial", "sigma2"), [1, 2, 3], "initial.sigma2"),
+    ("norms_gaussian", ("initial", "sigma2"), "abc", "initial.sigma2"),
+    ("norms_gaussian", ("out_prefix",), "a/b", "out_prefix"),
+    ("norms_gaussian", ("out_prefix",), "../esc", "out_prefix"),
+    ("witness_sp", ("nu", "points", "2.0"), [1.0], "nu.points.2.0"),
+    ("rate_report", ("predicted", "a1"), [1.0], "predicted.a1"),
+    ("rate_report", ("predicted", "d"), "abc", "predicted.d"),
+    ("norms_gaussian", ("d",), 1.9, "d"),
+    ("norms_gaussian", ("d",), True, "d"),
+    ("norms_gaussian", ("grid", "N"), 1024.7, "grid.N"),
+    ("functional_sweep_sp", ("t_grid", "count"), 7.9, "t_grid.count"),
+    ("functional_sweep_sp", ("K1",), True, "K1"),
+    ("propagate_heat", ("t",), True, "t"),
+    ("norms_gaussian", ("initial",), {"type": "indicator", "nodes_per_axis": 2.5},
+     "initial.nodes_per_axis"),
+    ("norms_gaussian", ("p_grid",), [], "p_grid"),
+    ("functional_sweep_sr", ("sr_normalization",), "bogus", "sr_normalization"),
+    ("fundamental_zeta", ("regime",), 5, "regime"),
+    ("fundamental_zeta", ("regime",), "bogus", "regime"),
+    ("functional_sweep_sp", ("functional",), "sp", "functional"),
+    ("mixed_norm", ("curve", "t_max"), _DROP, "curve.t_max"),
+    ("functional_sweep_sp", ("X", "variant"), _DROP, "X.variant"),
+    ("functional_sweep_sp", ("t_grid", "start"), _DROP, "t_grid.start"),
+    ("witness_sp_fractional", ("kind", "alpha"), _DROP, "kind.alpha"),
+    ("norms_gaussian", ("initial", "type"), _DROP, "initial.type"),
+]
+
+
+@pytest.mark.parametrize("config, path, value, field", CONFIG_FAULTS, ids=[
+    f"{f}-missing" if v is _DROP else f"{f}={v!r}" for _, _, v, f in CONFIG_FAULTS])
+def test_config_fault_names_dotted_field(config, path, value, field, tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(str(bad), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert re.search(rf"(?<![\w.]){re.escape(field)}(?![\w.])", err), err
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.json", "out"}
+
+
+def test_rate_report_checks_predicted_before_sweep(tmp_path, monkeypatch, capsys):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated before the predicted block was checked")
+
+    monkeypatch.setattr(cli, "propagate", no_propagation)
+    cfg = json.loads((CONFIG_DIR / "rate_report.json").read_text())
+    cfg["predicted"]["source"] = "bogus"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(str(bad), str(tmp_path / "out")) == 1
+    assert "predicted.source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-is-directory", "undecodable-config", "out-is-a-file"])
+def test_run_file_boundary_faults_exit_1(case, tmp_path, capsys):
+    config, out = CONFIG_DIR / "norms_gaussian.json", tmp_path / "out"
+    if case == "config-is-directory":
+        config = tmp_path
+    elif case == "undecodable-config":
+        config = tmp_path / "bytes.json"
+        config.write_bytes(b'{"experiment": "\xff"}')
+    else:
+        out.write_text("")
+    assert run(str(config), str(out)) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["malformed", "not-an-object"])
+def test_report_bad_summary_exits_1(text, tmp_path, capsys):
+    (tmp_path / "x_summary.json").write_text(text)
+    assert report(str(tmp_path)) == 1
+    assert "x_summary.json" in capsys.readouterr().err

@@ -29,6 +29,11 @@ def test_crossover_symmetric():
     assert zeta_crossover(1.0, 3.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_crossover_terminates_on_wide_interval():
+    # Floats near the root 500001 are 5.8e-11 apart, wider than the bisection tolerance.
+    assert zeta_crossover(1.0, 1e6 + 1.0, 1.0, 1.0) == pytest.approx(500001.0, rel=1e-12)
+
+
 def test_crossover_golden_ratio():
     # (h - 1)^1 = h^{-1} on (1, inf) has the golden ratio as its root
     h = zeta_crossover(1.0, INF, 1.0, -1.0)
