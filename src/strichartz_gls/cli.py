@@ -52,6 +52,12 @@ from .spaces import PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
 
 _FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional": None}
+
+# Size caps, far above every shipped config, that bound the memory a config can ask for.
+MAX_GRID_NODES = 2 ** 24     # N^d: 16 Mi nodes, 256 MiB per complex array
+MAX_TIME_SAMPLES = 4096      # t_grid.count: one propagation per sample
+MAX_CURVE_SAMPLES = 2 ** 20  # curve.count of mixed-norm
+
 _MISSING = object()
 
 
@@ -90,8 +96,11 @@ class Fields:
     def real(self, key, default=_MISSING) -> float:
         return self.read(key, default, _as_real, 'a number or "inf"')
 
-    def integer(self, key, default=_MISSING) -> int:
-        return self.read(key, default, _as_integer, "an integer")
+    def integer(self, key, default=_MISSING, cap=None) -> int:
+        n = self.read(key, default, _as_integer, "an integer")
+        if cap is not None and n > cap:
+            raise ConfigError(f"field {self.name(key)} must be at most {cap}, got {n}")
+        return n
 
     def choice(self, key, choices, default=_MISSING) -> str:
         return self.read(key, default, lambda v: v if isinstance(v, str) and v in choices else None,
@@ -163,7 +172,7 @@ def parse_t_grid(cfg: Fields) -> np.ndarray:
     else:
         block = cfg.block("t_grid")
         start, stop = block.real("start"), block.real("stop")
-        count = block.integer("count")
+        count = block.integer("count", cap=MAX_TIME_SAMPLES)
         spacing = block.choice("spacing", ("geometric", "linear"), "geometric")
         if count < 1 or stop <= start or start <= 0:
             raise ConfigError("field t_grid: need 0 < start < stop and count >= 1")
@@ -178,7 +187,11 @@ def parse_grid(cfg: Fields):
     block = cfg.block("grid")
     L, N = block.real("L"), block.integer("N")
     with _config_fault("grid"):
-        return make_grid(d, L, N)
+        grid = make_grid(d, L, N)
+    if N ** d > MAX_GRID_NODES:
+        raise ConfigError(f"field {block.name('N')} must keep N^d at most {MAX_GRID_NODES}, "
+                          f"got {N}^{d}")
+    return grid
 
 
 def parse_initial(cfg: Fields, grid) -> tuple[GridFunction, float]:
@@ -379,7 +392,7 @@ def _run_mixed_norm(cfg, out, prefix):
     coef = curve.real("coef", 1.0)
     t_max = curve.real("t_max")
     t_min = curve.real("t_min", 1e-12)
-    count = curve.integer("count", 2048)
+    count = curve.integer("count", 2048, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
     y = coef * t ** power
     value = mixed_norm(t, y, theta)

@@ -10,6 +10,7 @@ alternative phi(X, t^(d/2)) normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -60,6 +61,25 @@ def _check_input(f: GridFunction, t: float):
         raise ValueError(f"functionals are defined for t > 2, got t={t}")
 
 
+def _x_norm(f: GridFunction, psiX: PsiSpec):
+    """||f||_X as a function that takes the norm at its first call only.
+
+    The norm does not depend on t, so a curve shares one of these across its
+    samples; each call raises again when the norm is infinite or zero.
+    """
+    norm = functools.cache(lambda: space_norm(f, psiX))
+
+    def admissible() -> float:
+        norm_x = norm()
+        if norm_x == INF:
+            raise ValueError("f is not in X (infinite norm)")
+        if norm_x == 0.0:
+            raise ValueError("f has zero norm in X")
+        return norm_x
+
+    return admissible
+
+
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
     if max(psiX.a, psiX.b) > min(psiY.a, psiY.b):
         warnings.warn(
@@ -82,6 +102,10 @@ def w_sp(
     [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
     e = d/2 for heat and d/alpha for the fractional flow.
     """
+    return _w_sp(f, psiX, psiY, t, K1, K2, kind, _x_norm(f, psiX))
+
+
+def _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm) -> float:
     _check_input(f, t)
     if not (K1 > 0 and K2 > 0):
         raise ValueError("constants K1, K2 must be positive")
@@ -90,11 +114,7 @@ def w_sp(
     _warn_overlap(psiX, psiY)
     d = f.grid.dim
     expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
-    norm_x = space_norm(f, psiX)
-    if norm_x == INF:
-        raise ValueError("f is not in X (infinite norm)")
-    if norm_x == 0.0:
-        raise ValueError("f has zero norm in X")
+    norm_x = x_norm()
     u = propagate(f, kind, t)
     norm_y = gls_norm(space_profile(u, psiY), psiY)
     phi_y = fundamental_gls(psiY, K1 * t ** expo).value
@@ -115,6 +135,10 @@ def v_sr(
     normalization="definition" divides by phi(X, K t^-d);
     normalization="proof" divides by phi(X, t^(d/2)) instead.
     """
+    return _v_sr(f, psiX, psiY, t, K, normalization, _x_norm(f, psiX))
+
+
+def _v_sr(f, psiX, psiY, t, K, normalization, x_norm) -> float:
     _check_input(f, t)
     if not K > 0:
         raise ValueError("constant K must be positive")
@@ -124,11 +148,7 @@ def v_sr(
     if psiY.a < 2:
         warnings.warn("dispersive regime expects the Y support to start at >= 2")
     d = f.grid.dim
-    norm_x = space_norm(f, psiX)
-    if norm_x == INF:
-        raise ValueError("f is not in X (infinite norm)")
-    if norm_x == 0.0:
-        raise ValueError("f has zero norm in X")
+    norm_x = x_norm()
     u = propagate(f, SCHRODINGER, t)
     norm_y = gls_norm(space_profile(u, psiY), psiY)
     arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
@@ -184,12 +204,14 @@ def _sweep(eval_one, t_grid, label, meta) -> FunctionalCurve:
 
 def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K1": K1, "K2": K2, "kind": kind.kind}
-    return _sweep(lambda t: w_sp(f, psiX, psiY, t, K1, K2, kind), t_grid, "SP", meta)
+    x_norm = _x_norm(f, psiX)
+    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm), t_grid, "SP", meta)
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K": K, "normalization": normalization}
-    return _sweep(lambda t: v_sr(f, psiX, psiY, t, K, normalization), t_grid, "SR", meta)
+    x_norm = _x_norm(f, psiX)
+    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm), t_grid, "SR", meta)
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:

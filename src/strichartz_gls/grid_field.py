@@ -17,6 +17,11 @@ INF = math.inf
 
 TAIL_MASS_TOL = 1e-10
 
+# exp(x) is exactly 0.0 for every x below this
+EXP_UNDERFLOW = -746.0
+# elements of one block of exp(p * log a) terms; 2**18 ran no faster and raised peak RSS
+BLOCK_ELEMENTS = 2 ** 14
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -216,6 +221,35 @@ class MomentProfile:
         return float(self.values[i])
 
 
+def _power_sums(a: np.ndarray, m: float, p: np.ndarray) -> list:
+    """sum((a / m) ** p_i) for each finite, increasing exponent p_i.
+
+    Computed as exp(p_i * log(a / m)) from one log over the nonzero nodes,
+    sorted so that each block of exponents exponentiates only the nodes
+    whose term does not underflow to 0.0 at the block's smallest exponent.
+    """
+    if p.size == 1:
+        return [float(np.sum((a / m) ** p[0]))]
+    nl = a[a > 0]
+    nl /= m
+    np.log(nl, out=nl)
+    np.negative(nl, out=nl)
+    nl.sort()
+    # one buffer of one size per grid: blocks of varying size fragmented the heap
+    buf = np.empty(max(BLOCK_ELEMENTS, a.size))
+    sums = []
+    i = 0
+    while i < p.size:
+        k = int(np.searchsorted(nl, -EXP_UNDERFLOW / p[i], side="right"))
+        block = p[i:i + max(1, BLOCK_ELEMENTS // k)]
+        terms = buf[:block.size * k].reshape(block.size, k)
+        np.multiply.outer(-block, nl[:k], out=terms)
+        np.exp(terms, out=terms)
+        sums.extend(terms.sum(axis=1).tolist())
+        i += block.size
+    return sums
+
+
 def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfile:
     """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid.
 
@@ -233,10 +267,13 @@ def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfi
     out = np.zeros(p.size)
     if m == 0.0:
         return MomentProfile(p, out, provenance)
-    # the full-grid copy a / m is made only when a finite exponent needs it
-    scaled = a / m if np.any(p != INF) else None
-    for i, pi in enumerate(p):
-        out[i] = m if pi == INF else m * (float(np.sum(scaled ** pi)) * vol) ** (1.0 / pi)
+    finite = p[p != INF]
+    out[finite.size:] = m
+    if finite.size:
+        sums = _power_sums(a, m, finite)
+        # finished one exponent at a time: the vectorised power moves the last digit
+        for i, (pi, s) in enumerate(zip(finite.tolist(), sums)):
+            out[i] = m * (s * vol) ** (1.0 / pi)
     return MomentProfile(p, out, provenance)
 
 

@@ -145,8 +145,8 @@ class PsiSpec:
         v = np.array([float(points[k]) for k in sorted(points, key=float)], dtype=float)
         if p.size < 2:
             raise ValueError("table weight needs at least two points")
-        if np.any(v <= 0):
-            raise ValueError("table weight values must be positive")
+        if not np.all((v > 0) & np.isfinite(v)):
+            raise ValueError("table weight values must be positive and finite")
         return cls(a=float(p[0]), b=float(p[-1]), variant="table", table_p=p, table_v=v)
 
     @classmethod
@@ -192,13 +192,15 @@ def exponent_grid(
         cap = p_cap if p_cap is not None else max(100.0, 8.0 * a)
         span = cap - a
         n = max(64, int(per_decade * math.log10(span / min_offset)) + 1)
-        off = np.geomspace(min_offset, span, n)
-        return a + off
-    half = 0.5 * (b - a)
-    n = max(32, int(per_decade * math.log10(half / min_offset)) + 1)
-    off = np.geomspace(min_offset, half, n)
-    pts = np.concatenate([a + off, b - off])
-    return np.unique(pts)
+        pts = a + np.geomspace(min_offset, span, n)
+    else:
+        half = 0.5 * (b - a)
+        n = max(32, int(per_decade * math.log10(half / min_offset)) + 1)
+        off = np.geomspace(min_offset, half, n)
+        pts = np.concatenate([a + off, b - off])
+    # an offset finer than the float spacing near a or b rounds onto the endpoint
+    pts = np.unique(pts)
+    return pts[(pts > a) & (pts < b)]
 
 
 def _coverage_ok(p_inside: np.ndarray, a: float, b: float) -> bool:

@@ -251,6 +251,14 @@ CONFIG_FAULTS = [
     ("functional_sweep_sp", ("t_grid", "start"), _DROP, "t_grid.start"),
     ("witness_sp_fractional", ("kind", "alpha"), _DROP, "kind.alpha"),
     ("norms_gaussian", ("initial", "type"), _DROP, "initial.type"),
+    ("witness_sp", ("nu", "points", "2.0"), "inf", "nu"),
+    # size caps: each value below used to raise IndexError or MemoryError
+    ("functional_sweep_sp", ("t_grid", "count"), 2 ** 63, "t_grid.count"),
+    ("functional_sweep_sp", ("t_grid", "count"), 10 ** 12, "t_grid.count"),
+    ("mixed_norm", ("curve", "count"), 2 ** 63, "curve.count"),
+    ("mixed_norm", ("curve", "count"), 10 ** 12, "curve.count"),
+    ("norms_gaussian", ("grid", "N"), 2 ** 63, "grid.N"),
+    ("norms_gaussian", ("grid", "N"), 2 ** 25, "grid.N"),
 ]
 
 
@@ -272,6 +280,15 @@ def test_config_fault_names_dotted_field(config, path, value, field, tmp_path, c
     assert "config error" in err
     assert re.search(rf"(?<![\w.]){re.escape(field)}(?![\w.])", err), err
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.json", "out"}
+
+
+def test_zeta_endpoint_finer_than_float_spacing(tmp_path):
+    # b - 1e-12 rounds to b here; the exponent grid must still stay inside (a, b)
+    cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())
+    cfg["psi"]["b"] = 1e6 + 0.5
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 0
 
 
 def test_rate_report_checks_predicted_before_sweep(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from strichartz_gls import functionals
 from strichartz_gls import (
     HEAT,
     INF,
@@ -223,6 +224,32 @@ def test_curve_records_exclusions():
     assert curve.t_grid.tolist() == [16.0, 64.0]
     assert len(curve.exclusions) == 1
     assert curve.exclusions[0][0] == 1.0
+
+
+@pytest.mark.parametrize("single, sweep", [(w_sp, w_sp_curve), (v_sr, v_sr_curve)],
+                         ids=["SP", "SR"])
+def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
+    _, f, psiX, psiY = _sp_setup()
+    space_norm = functionals.space_norm
+    calls = []
+    monkeypatch.setattr(functionals, "space_norm",
+                        lambda h, psi: calls.append(psi) or space_norm(h, psi))
+    t_grid = [2.0, 4.0, 16.0, 64.0]
+    curve = sweep(f, psiX, psiY, t_grid)
+    assert calls == [psiX]
+    assert curve.values[1] == single(f, psiX, psiY, 16.0)
+    assert curve.exclusions == ((2.0, "functionals are defined for t > 2, got t=2.0"),)
+
+    # an infinite X norm excludes every admissible time; it is still taken once
+    calls.clear()
+    monkeypatch.setattr(functionals, "space_norm", lambda h, psi: calls.append(psi) or INF)
+    with pytest.raises(ValueError, match="no admissible time samples"):
+        sweep(f, psiX, psiY, t_grid)
+    assert calls == [psiX]
+    with pytest.raises(ValueError, match="defined for t > 2"):  # the time is checked first
+        single(f, psiX, psiY, 2.0)
+    with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
+        single(f, psiX, psiY, 16.0)
 
 
 def test_curve_fit_matches_closed_form_slope():

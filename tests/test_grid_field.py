@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from strichartz_gls import (
     moment_profile,
     periodic_convolve,
 )
+from strichartz_gls.spaces import exponent_grid
 
 
 def test_make_grid_spacing():
@@ -147,6 +149,54 @@ def test_moment_profile_gaussian_values():
     assert prof.values == pytest.approx(
         [1.0, (4 * math.pi) ** -0.25, (2 * math.pi) ** -0.5], rel=1e-10
     )
+
+
+def _power_sum_profile(f, p_grid):
+    """The reference: one power sum over every node per exponent."""
+    a = np.abs(f.values)
+    m = a.max()
+    return [m if p == INF else m * (np.sum((a / m) ** p) * f.grid.cell_volume) ** (1.0 / p)
+            for p in p_grid]
+
+
+DENSE_P = exponent_grid(1.0, 20.0, per_decade=64, min_offset=1e-3)
+
+
+@pytest.mark.parametrize("make_f, p_grid", [
+    (lambda: gaussian_sample(make_grid(1, 40.0, 2048), GaussianSpec(1.0, 1)), DENSE_P),
+    # 99% of the nodes underflow to exactly 0
+    (lambda: gaussian_sample(make_grid(1, 4096.0, 65536), GaussianSpec(1.0, 1)), DENSE_P),
+    (lambda: box_indicator(make_grid(1, 32.0, 1024), 100), DENSE_P),
+    (lambda: gaussian_sample(make_grid(3, 20.0, 32), GaussianSpec(2.0, 3)), DENSE_P),
+    (lambda: gaussian_sample(make_grid(2, 20.0, 128), GaussianSpec(1.0, 2)),
+     np.append(exponent_grid(2.0, INF, per_decade=64, min_offset=1e-3), INF)),
+    # one block spans exponents whose underflow cut-offs are far apart
+    (lambda: gaussian_sample(make_grid(1, 40.0, 2048), GaussianSpec(1.0, 1)),
+     [1.0, 4.0, 64.0, 512.0]),
+], ids=["dense-gaussian", "wide-box", "box-indicator", "d3-N32", "ends-in-inf",
+        "sparse-exponents"])
+def test_moment_profile_matches_power_sum(make_f, p_grid):
+    f = make_f()
+    values = moment_profile(f, p_grid).values
+    assert np.allclose(values, _power_sum_profile(f, p_grid), rtol=1e-13, atol=0)
+
+
+def test_one_exponent_lp_norm_is_the_power_sum():
+    f = gaussian_sample(make_grid(3, 20.0, 32), GaussianSpec(2.0, 3))
+    for p in (1.0, 2.0, 3.7):
+        assert lp_norm(f, p) == _power_sum_profile(f, [p])[0]
+
+
+def test_lp_norm_inf_allocates_no_scaled_copy():
+    f = gaussian_sample(make_grid(3, 20.0, 64), GaussianSpec(2.0, 3))
+    abs_bytes = f.values.size * 8
+    tracemalloc.start()
+    try:
+        lp_norm(f, INF)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * abs_bytes
 
 
 def test_moment_profile_rejects_bad_grids():
