@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .functionals import (
+    MIN_CURVE_SAMPLES,
     PREDICTED_SOURCES,
     fit_rate,
     mixed_norm,
@@ -96,8 +97,10 @@ class Fields:
     def real(self, key, default=_MISSING) -> float:
         return self.read(key, default, _as_real, 'a number or "inf"')
 
-    def integer(self, key, default=_MISSING, cap=None) -> int:
+    def integer(self, key, default=_MISSING, least=None, cap=None) -> int:
         n = self.read(key, default, _as_integer, "an integer")
+        if least is not None and n < least:
+            raise ConfigError(f"field {self.name(key)} must be at least {least}, got {n}")
         if cap is not None and n > cap:
             raise ConfigError(f"field {self.name(key)} must be at most {cap}, got {n}")
         return n
@@ -172,10 +175,10 @@ def parse_t_grid(cfg: Fields) -> np.ndarray:
     else:
         block = cfg.block("t_grid")
         start, stop = block.real("start"), block.real("stop")
-        count = block.integer("count", cap=MAX_TIME_SAMPLES)
+        count = block.integer("count", least=1, cap=MAX_TIME_SAMPLES)
         spacing = block.choice("spacing", ("geometric", "linear"), "geometric")
-        if count < 1 or stop <= start or start <= 0:
-            raise ConfigError("field t_grid: need 0 < start < stop and count >= 1")
+        if stop <= start or start <= 0:
+            raise ConfigError("field t_grid: need 0 < start < stop")
         t = (np.geomspace if spacing == "geometric" else np.linspace)(start, stop, count)
     if np.any(np.diff(t) <= 0):
         raise ConfigError("field t_grid: times must be strictly increasing")
@@ -392,7 +395,7 @@ def _run_mixed_norm(cfg, out, prefix):
     coef = curve.real("coef", 1.0)
     t_max = curve.real("t_max")
     t_min = curve.real("t_min", 1e-12)
-    count = curve.integer("count", 2048, cap=MAX_CURVE_SAMPLES)
+    count = curve.integer("count", 2048, least=MIN_CURVE_SAMPLES, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
     y = coef * t ** power
     value = mixed_norm(t, y, theta)

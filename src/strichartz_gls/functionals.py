@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 PROFILE_MIN_OFFSET = 1e-3
+MIN_CURVE_SAMPLES = 8  # mixed_norm's least number of time samples
 PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fractional-laplacian",
                      "heat-lp", "schrodinger-lp")
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def space_profile(f: GridFunction, psi: PsiSpec, provenance: str = "grid"):
@@ -222,7 +221,7 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
     """
     t = np.asarray(t_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
-    if t.size < 8:
+    if t.size < MIN_CURVE_SAMPLES:
         raise ValueError("curve must be sampled densely")
     if np.any(np.diff(t) <= 0) or np.any(t <= 0):
         raise ValueError("time samples must be positive and increasing")
@@ -242,7 +241,7 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
             return float(y.max())
         if slope0 * q <= -1.0 + 1e-9:
             return INF
-        integ = float(_trapezoid(y ** q, t))
+        integ = float(np.trapezoid(y ** q, t))
         return integ ** (1.0 / q)
 
     if theta.variant == "degenerate":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +63,23 @@ class Grid:
 
     def _sum_of_squares(self, axis_values: np.ndarray) -> np.ndarray:
         """sum_j v_(k_j)^2 over the d axes at every node, shape self.shape."""
-        out = np.zeros(self.shape)
-        for axis in range(self.dim):
-            sh = [1] * self.dim
-            sh[axis] = self.points_per_axis
-            out = out + (axis_values ** 2).reshape(sh)
+        sq = axis_values ** 2
+        out = sq
+        for _ in range(self.dim - 1):
+            out = np.add.outer(out, sq)
         return out
 
     def squared_radius(self) -> np.ndarray:
         """||x||^2 at every node, shape self.shape."""
         return self._sum_of_squares(self.axis_coords())
 
+    def _axis_frequencies(self) -> np.ndarray:
+        """Dual-grid frequencies along one axis, xi_k = pi*k/L in FFT order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+
     def frequency_squared(self) -> np.ndarray:
         """||xi||^2 on the discrete dual grid, xi_k = pi*k/L in FFT order."""
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
-        return self._sum_of_squares(xi)
+        return self._sum_of_squares(self._axis_frequencies())
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
@@ -86,18 +89,30 @@ def make_grid(d: int, L: float, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex-valued samples of f: R^d -> C on a Grid."""
+    """Complex-valued samples of f: R^d -> C on a Grid.
+
+    values is held as a read-only view, so the cached spectrum cannot go
+    stale through it; an array passed in must not be written afterwards.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex).view()
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values contain non-finite entries")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """fftn(values), taken at first use and kept read-only."""
+        s = np.fft.fftn(self.values)
+        s.flags.writeable = False
+        return s
 
     def _check_same_grid(self, other: "GridFunction"):
         if self.grid != other.grid:

@@ -9,6 +9,15 @@ Multipliers on the dual grid (xi_k = pi*k/L):
 Note the fractional multiplier at a = 2 has no 1/2, so S_2(t) equals the
 heat flow at doubled time; this identity is asserted in tests rather than
 hidden by renormalizing.
+
+Each call costs one pointwise product and one inverse transform: the
+forward transform of f is GridFunction.spectrum, taken once per initial
+datum and cached on it.  The heat and Schrodinger multipliers are
+separable, so they are built as the outer product of d one-axis factors
+(d exponentials of length N, not one over all N^d nodes); the fractional
+multiplier is not, and takes its exponential over the full grid.  The
+product is written into the multiplier's buffer when both are complex,
+and the inverse transform runs in place on it.
 """
 
 from __future__ import annotations
@@ -58,23 +67,35 @@ def fractional(alpha: float) -> PropagatorKind:
     return PropagatorKind("fractional", alpha)
 
 
+def _outer_product(factor: np.ndarray, dim: int) -> np.ndarray:
+    """factor[k_1] * ... * factor[k_dim] at every node of the grid."""
+    out = factor
+    for _ in range(dim - 1):
+        out = np.multiply.outer(out, factor)
+    return out
+
+
 def _multiplier(grid: Grid, kind: PropagatorKind, t: float) -> np.ndarray:
-    k2 = grid.frequency_squared()
+    if kind.kind == "fractional":
+        # ||xi||^alpha = (||xi||^2)^(alpha/2); the zero mode gives exp(0) = 1
+        return np.exp(-t * grid.frequency_squared() ** (kind.alpha / 2.0))
+    xi2 = grid._axis_frequencies() ** 2
     if kind.kind == "heat":
-        return np.exp(-t * k2 / 2.0)
-    if kind.kind == "schrodinger":
-        return np.exp(-1j * t * k2 / 2.0)
-    # ||xi||^alpha = (||xi||^2)^(alpha/2); the zero mode gives exp(0) = 1
-    return np.exp(-t * k2 ** (kind.alpha / 2.0))
+        return _outer_product(np.exp(-t * xi2 / 2.0), grid.dim)
+    return _outer_product(np.exp(-1j * t * xi2 / 2.0), grid.dim)
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Forward transform, pointwise multiplier, inverse transform.
+    """Pointwise product with the cached spectrum of f, then the inverse transform.
 
-    The operand order mult * f_hat is fixed: with fused multiply-add the
+    mult must be an array this module just built: a complex mult receives
+    the product, and the inverse transform overwrites the product.  The
+    operand order mult * f_hat is fixed: with fused multiply-add the
     complex product is not bitwise commutative.
     """
-    return GridFunction(f.grid, np.fft.ifftn(np.multiply(mult, np.fft.fftn(f.values))))
+    out = mult if mult.dtype == f.spectrum.dtype else None
+    prod = np.multiply(mult, f.spectrum, out=out)
+    return GridFunction(f.grid, np.fft.ifftn(prod, out=prod))
 
 
 def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:

@@ -259,6 +259,10 @@ CONFIG_FAULTS = [
     ("mixed_norm", ("curve", "count"), 10 ** 12, "curve.count"),
     ("norms_gaussian", ("grid", "N"), 2 ** 63, "grid.N"),
     ("norms_gaussian", ("grid", "N"), 2 ** 25, "grid.N"),
+    # mixed_norm needs at least 8 samples: each value below used to exit 2
+    ("mixed_norm", ("curve", "count"), 0, "curve.count"),
+    ("mixed_norm", ("curve", "count"), 3, "curve.count"),
+    ("mixed_norm", ("curve", "count"), -1, "curve.count"),
 ]
 
 

@@ -8,9 +8,11 @@ from strichartz_gls import (
     INF,
     SCHRODINGER,
     GaussianSpec,
+    PsiSpec,
     check_window,
     fractional,
     gaussian_lp_exact,
+    gaussian_moment_law_check,
     gaussian_sample,
     laplacian_propagate,
     lp_norm,
@@ -18,6 +20,8 @@ from strichartz_gls import (
     propagate,
     propagate_gaussian_exact,
     safe_time_bound,
+    sr_witness,
+    w_sp_curve,
 )
 
 
@@ -201,3 +205,56 @@ def test_check_window():
     # a wider initial Gaussian leaves less room
     with pytest.raises(ValueError, match="safe"):
         check_window([4.0, 99.0], g, HEAT, sigma2_real=2.0)
+
+
+SYMBOLS = {
+    "heat": (HEAT, lambda k2, t: np.exp(-t * k2 / 2.0)),
+    "schrodinger": (SCHRODINGER, lambda k2, t: np.exp(-1j * t * k2 / 2.0)),
+    "fractional1.5": (fractional(1.5), lambda k2, t: np.exp(-t * k2 ** 0.75)),
+    "fractional2.0": (fractional(2.0), lambda k2, t: np.exp(-t * k2)),
+}
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)], ids=["d1", "d2", "d3"])
+def test_multiplier_matches_full_grid_symbol(d, n, name, sigma2):
+    # reference: the symbol of ||xi||^2 over all N^d nodes, forward transform per call
+    kind, symbol = SYMBOLS[name]
+    g = make_grid(d, 12.0, n)
+    f = gaussian_sample(g, GaussianSpec(sigma2, d))
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
+    k2 = sum(np.meshgrid(*[xi ** 2] * d, indexing="ij"))
+    t = 1.7
+    ref = np.fft.ifftn(symbol(k2, t) * np.fft.fftn(f.values))
+    u = propagate(f, kind, t).values
+    assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("sweep", ["sr_witness", "w_sp_curve", "moment_law"])
+def test_sweep_transforms_its_initial_datum_once(sweep, monkeypatch):
+    g = make_grid(1, 60.0, 512)
+    times = [3.0, 4.0, 6.0, 8.0]
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a, *args, **kw: calls.append(a.shape)
+                        or fftn(a, *args, **kw))
+    if sweep == "sr_witness":
+        sr_witness(times, g)
+    elif sweep == "w_sp_curve":
+        f = gaussian_sample(g, GaussianSpec(1.0, 1))
+        w_sp_curve(f, PsiSpec.zeta(1.0, 2.0, 1.0, 1.0), PsiSpec.zeta(3.0, 6.0, 1.0, 1.0), times)
+    else:
+        gaussian_moment_law_check(1, [2.0, 4.0, INF], times, g)
+    assert calls == [g.shape]
+
+
+def test_grid_function_values_are_read_only():
+    g, f = _setup()
+    with pytest.raises(ValueError):
+        f.values[0] = 1
+    with pytest.raises(ValueError):
+        f.spectrum[0] = 1
+    u = propagate(f, SCHRODINGER, 2.0)
+    with pytest.raises(ValueError):
+        u.values[0] = 1

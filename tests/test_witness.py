@@ -8,6 +8,7 @@ from strichartz_gls import (
     INF,
     GaussianSpec,
     PsiSpec,
+    fit_rate,
     fractional,
     gaussian_lp_exact,
     gaussian_sample,
@@ -117,3 +118,31 @@ def test_moment_law_check_guards():
         gaussian_moment_law_check(1, [1.0], SR_TIMES, SR_GRID)
     with pytest.raises(ValueError):
         gaussian_moment_law_check(2, [2.0], SR_TIMES, SR_GRID)
+
+
+# Gaussian witnesses in d = 2, 3.  Under the Schrodinger flow the unit
+# Gaussian needs h <= 0.375: its spectrum exp(-xi^2/2) at the Nyquist
+# frequency pi/h is then below 1e-15 (at h = 0.75 the gap is 3e-5); the heat
+# flow damps those modes, so the parabolic witness tolerates h = 0.75.
+@pytest.mark.parametrize("d, L, n, times", [(2, 60.0, 256, [4.0, 16.0, 64.0]),
+                                            (3, 24.0, 64, [4.0, 12.0])], ids=["d2", "d3"])
+def test_sp_witness_heat_in_higher_dimension(d, L, n, times):
+    rep = sp_witness(PsiSpec.table({2.0: 1.0, 4.0: 1.0}), times, make_grid(d, L, n))
+    assert rep.max_gap < GAP_TOL
+
+
+@pytest.mark.parametrize("d, L, n, times", [(2, 48.0, 256, [3.0, 5.0, 7.0]),
+                                            (3, 24.0, 128, [2.5, 3.5])], ids=["d2", "d3"])
+def test_sr_witness_in_higher_dimension(d, L, n, times):
+    rep = sr_witness(times, make_grid(d, L, n))
+    assert rep.max_gap < GAP_TOL
+
+
+def test_moment_law_d3_matches_closed_form_slopes():
+    # over t in (2, 4) the slope is still far from -d(1/2 - 1/r), so the
+    # fitted slope is compared with the fit of the exact norms at those times
+    t = np.array([2.5, 2.9, 3.3, 3.8])
+    rows = gaussian_moment_law_check(3, [4.0, INF], t, make_grid(3, 24.0, 128))
+    for r, fitted, _ in rows:
+        exact = fit_rate(t, [gaussian_lp_exact(1.0 + 1j * ti, 3, r) for ti in t]).slope
+        assert abs(fitted - exact) < GAP_TOL * abs(exact)
