@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid_field import INF, GridFunction, moment_profile
 from .propagators import HEAT, SCHRODINGER, PropagatorKind, propagate
-from .spaces import PsiSpec, exponent_grid, fundamental_gls, gls_norm
+from .spaces import PsiSpec, _weighted_sup, exponent_grid, fundamental_gls, gls_norm
 
 __all__ = [
     "FunctionalCurve",
@@ -41,12 +41,16 @@ PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fracti
                      "heat-lp", "schrodinger-lp")
 
 
+def _exponents(psi: PsiSpec) -> np.ndarray:
+    """The exponents a norm weighted by psi is sampled at: [s] for a degenerate weight."""
+    if psi.variant == "degenerate":
+        return np.array([psi.s])
+    return exponent_grid(psi.a, psi.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET)
+
+
 def space_profile(f: GridFunction, psi: PsiSpec, provenance: str = "grid"):
     """Moment profile of f over the exponent support of psi."""
-    if psi.variant == "degenerate":
-        return moment_profile(f, [psi.s], provenance)
-    grid = exponent_grid(psi.a, psi.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET)
-    return moment_profile(f, grid, provenance)
+    return moment_profile(f, _exponents(psi), provenance)
 
 
 def space_norm(f: GridFunction, psi: PsiSpec) -> float:
@@ -241,22 +245,10 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
             return float(y.max())
         if slope0 * q <= -1.0 + 1e-9:
             return INF
-        integ = float(np.trapezoid(y ** q, t))
-        return integ ** (1.0 / q)
+        return float(np.trapezoid(y ** q, t)) ** (1.0 / q)
 
-    if theta.variant == "degenerate":
-        return h(theta.s)
-    q_grid = exponent_grid(theta.a, theta.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET)
-    best = 0.0
-    for q in q_grid:
-        hq = h(float(q))
-        w = theta.psi(float(q))
-        if hq == INF and w != INF:
-            return INF
-        if w == INF or hq == 0.0:
-            continue
-        best = max(best, hq / w)
-    return best
+    q = _exponents(theta)
+    return _weighted_sup(np.array([h(qi) for qi in q.tolist()]), theta.psi(q))
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,5 @@ def box_measure(grid: Grid, nodes_per_axis: int) -> float:
 def periodic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Discrete periodic convolution approximating (f*g)(x) = int f(y) g(x-y) dy."""
     f._check_same_grid(g)
-    fh = np.fft.fftn(f.values)
-    gh = np.fft.fftn(g.values)
-    vals = np.fft.ifftn(fh * gh) * f.grid.cell_volume
+    vals = np.fft.ifftn(f.spectrum * g.spectrum) * f.grid.cell_volume
     return GridFunction(f.grid, vals)

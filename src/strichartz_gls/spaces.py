@@ -103,14 +103,24 @@ class ZetaParams:
         return self._h
 
 
-def zeta_eval(params: ZetaParams, p: float) -> float:
-    if not params.a < p < params.b:
-        raise ValueError(f"p = {p} outside ({params.a}, {params.b})")
-    if p < params.crossover:
-        return (p - params.a) ** params.alpha
-    if params.b == INF:
-        return p ** params.beta
-    return (params.b - p) ** params.beta
+def _check_inside(p, a: float, b: float):
+    """Raise unless p, a float or every point of an array, lies in (a, b)."""
+    lo, hi = (p.min(), p.max()) if isinstance(p, np.ndarray) else (p, p)
+    if not a < lo <= hi < b:
+        raise ValueError(f"p = {hi if a < lo else lo} outside ({a}, {b})")
+
+
+def zeta_eval(params: ZetaParams, p):
+    """zeta at p, a float or an array of exponents (a float in gives a float out).
+
+    Each point takes one power, of the base and exponent of its own side of
+    the crossover, so no side is evaluated where it could overflow."""
+    _check_inside(p, params.a, params.b)
+    far = p if params.b == INF else params.b - p
+    if not isinstance(p, np.ndarray):
+        return (p - params.a) ** params.alpha if p < params.crossover else far ** params.beta
+    below = p < params.crossover
+    return np.where(below, p - params.a, far) ** np.where(below, params.alpha, params.beta)
 
 
 @dataclass(frozen=True)
@@ -158,19 +168,24 @@ class PsiSpec:
             raise ValueError(f"unknown weight variant {self.variant!r}")
         if self.variant != "degenerate" and not (1 <= self.a < self.b):
             raise ValueError(f"need 1 <= a < b, got ({self.a}, {self.b})")
+        if self.variant == "table":
+            object.__setattr__(self, "_log_v", np.log(self.table_v))
 
-    def psi(self, p: float) -> float:
-        """Evaluate the weight; +inf is a legal value only for degenerate."""
-        if self.variant == "degenerate":
-            return 1.0 if p == self.s else INF
-        if not self.a < p < self.b:
-            raise ValueError(f"p = {p} outside ({self.a}, {self.b})")
+    def psi(self, p):
+        """The weight at p, a float or an array of exponents (a float in gives a
+        float out); +inf is a legal value only for degenerate."""
         if self.variant == "zeta":
             z = zeta_eval(self.zeta_params, p)
-            return INF if z == 0.0 else 1.0 / z
-        # table: log-linear interpolation in p
-        lv = np.interp(p, self.table_p, np.log(self.table_v))
-        return float(np.exp(lv))
+            if not isinstance(z, np.ndarray):
+                return INF if z == 0.0 else 1.0 / z
+            with np.errstate(divide="ignore", over="ignore"):  # z is 0.0 or subnormal
+                return 1.0 / z
+        if self.variant == "degenerate":
+            w = np.where(p == self.s, 1.0, INF)
+        else:  # table: log-linear interpolation in p
+            _check_inside(p, self.a, self.b)
+            w = np.exp(np.interp(p, self.table_p, self._log_v))
+        return w if isinstance(p, np.ndarray) else float(w)
 
     def msupp(self) -> tuple:
         return (self.a, self.b)
@@ -222,21 +237,18 @@ def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
     inside = (profile.p_grid > psi.a) & (profile.p_grid < psi.b)
     p_in = profile.p_grid[inside]
     if not _coverage_ok(p_in, psi.a, psi.b):
-        raise ValueError(
-            f"profile grid does not cover ({psi.a}, {psi.b}) densely enough"
-        )
-    h = profile.values[inside]
-    best = 0.0
-    for p, hp in zip(p_in, h):
-        w = psi.psi(float(p))
-        if hp == 0.0:
-            continue
-        if w == INF:
-            continue
-        if w == 0.0:
-            return INF
-        best = max(best, hp / w)
-    return best
+        raise ValueError(f"profile grid does not cover ({psi.a}, {psi.b}) densely enough")
+    return _weighted_sup(profile.values[inside], psi.psi(p_in))
+
+
+def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
+    """sup of h/w over arrays h >= 0 and w >= 0: a zero h is skipped whatever its
+    weight, and so is an infinite weight; h > 0 over a zero weight, or an
+    infinite h over a finite one, gives inf; with no entry left the sup is 0.0."""
+    ratio = np.zeros(h.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(h, w, out=ratio, where=(h > 0) & (w < INF))
+    return float(ratio.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -283,18 +295,14 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> FundamentalValue:
         return FundamentalValue(delta, val, "numeric-sup")
 
     logd = math.log(delta)
-
-    def log_obj(p: float) -> float:
-        w = psi.psi(p)
-        if w == INF or w == 0.0:
-            return -INF if w == INF else INF
-        return logd / p - math.log(w)
+    log_obj = lambda p: logd / p - math.log(psi.psi(p))
 
     p_cap = None
     if psi.b == INF:
         p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0))
     grid = exponent_grid(psi.a, psi.b, per_decade=64, min_offset=1e-12, p_cap=p_cap)
-    vals = np.array([log_obj(float(p)) for p in grid])
+    # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
+    vals = logd / grid - np.log(psi.psi(grid))
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

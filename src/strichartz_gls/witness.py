@@ -169,11 +169,12 @@ def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:
         if not (r > 1 or r == INF):
             raise ValueError("moment law holds for r in (1, inf]")
     f = gaussian_sample(grid, GaussianSpec(1.0, d))
-    evolved = [propagate(f, SCHRODINGER, float(t)) for t in t_grid]
+    vals = np.empty((len(r_list), t_grid.size))  # |U_t f|_r, one evolved field at a time
+    for j, u in enumerate(propagate(f, SCHRODINGER, float(t)) for t in t_grid):
+        vals[:, j] = [lp_norm(u, float(r)) for r in r_list]
     rows = []
-    for r in r_list:
-        vals = np.array([lp_norm(u, float(r)) for u in evolved])
-        fitted = fit_rate(t_grid, vals).slope
+    for r, vals_r in zip(r_list, vals):
+        fitted = fit_rate(t_grid, vals_r).slope
         inv_r = 0.0 if r == INF else 1.0 / r
         predicted = -d * (0.5 - inv_r)
         rows.append((float(r), fitted, predicted))

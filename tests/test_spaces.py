@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from strichartz_gls import (
     gaussian_sample,
     gls_norm,
     make_grid,
+    mixed_norm,
     moment_profile,
     space_norm,
     zeta_crossover,
     zeta_eval,
 )
+from strichartz_gls.spaces import _weighted_sup
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -269,3 +272,79 @@ def test_moment_norm_consistency():
     prof = moment_profile(f, p)
     direct = max(v / psi.psi(pp) for pp, v in zip(p, prof.values))
     assert val == pytest.approx(direct, rel=1e-10)
+
+
+# ---------------------------------------------------------------- array-valued weights
+
+ARRAY_WEIGHTS = {
+    "zeta-finite-b": (PsiSpec.zeta(1.0, 3.0, 1.0, 2.0), exponent_grid(1.0, 3.0)),
+    "zeta-infinite-b": (PsiSpec.zeta(1.0, INF, 1.0, -1.0), exponent_grid(1.0, INF)),
+    "table": (PsiSpec.table({2.0: 1.0, 3.0: 0.25, 4.0: 2.0}), exponent_grid(2.0, 4.0)),
+    "degenerate": (PsiSpec.degenerate(2.0), np.array([1.5, 2.0, 3.0, INF])),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_WEIGHTS)
+def test_psi_on_array_matches_float_calls(name):
+    psi, p = ARRAY_WEIGHTS[name]
+    got = psi.psi(p)
+    want = np.array([psi.psi(float(x)) for x in p])
+    assert isinstance(got, np.ndarray) and got.shape == p.shape
+    # numpy's array power may differ from libm's pow in the last bit
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ARRAY_WEIGHTS)
+def test_psi_float_in_gives_float_out(name):
+    psi, p = ARRAY_WEIGHTS[name]
+    assert type(psi.psi(float(p[p.size // 2]))) is float
+    assert type(zeta_eval(ZetaParams(1.0, 3.0, 1.0, 2.0), 2.5)) is float
+
+
+@pytest.mark.parametrize("name", ["zeta-finite-b", "zeta-infinite-b", "table"])
+def test_psi_array_with_one_point_outside_raises(name):
+    psi, p = ARRAY_WEIGHTS[name]
+    for bad in (psi.a, psi.a - 0.5, math.nan) + ((psi.b,) if psi.b != INF else ()):
+        q = p.copy()
+        q[q.size // 2] = bad
+        with pytest.raises(ValueError, match="outside"):
+            psi.psi(q)
+    with pytest.raises(ValueError, match="outside"):
+        zeta_eval(ZetaParams(1.0, 3.0, 1.0, 2.0), np.array([1.5, 3.0]))
+
+
+@pytest.mark.parametrize("h, w, want", [
+    ([0.0, 1.0], [0.0, 2.0], 0.5),         # a zero h is skipped before its weight is looked at
+    ([5.0, 1.0], [INF, 2.0], 0.5),         # an infinite weight is skipped
+    ([INF, 1.0], [INF, 2.0], 0.5),         # ... even under an infinite h
+    ([1.0, 1.0], [0.0, 2.0], INF),         # a zero weight with h > 0 gives inf
+    ([INF, 1.0], [3.0, 2.0], INF),         # an infinite h with a finite weight gives inf
+    ([0.0, 3.0], [1.0, INF], 0.0),         # no entry left
+    ([], [], 0.0),
+], ids=["zero-h", "inf-w", "inf-h-inf-w", "zero-w", "inf-h", "none-left", "empty"])
+def test_weighted_sup_rules(h, w, want):
+    got = _weighted_sup(np.array(h, dtype=float), np.array(w, dtype=float))
+    assert type(got) is float and got == want
+
+
+def test_mixed_norm_degenerate_is_h_of_s():
+    t = np.geomspace(0.1, 10.0, 16)
+    assert mixed_norm(t, np.zeros_like(t), PsiSpec.degenerate(2.0)) == 0.0
+    y = 1.0 / (1.0 + t)
+    want = float(np.trapezoid(y ** 2.0, t)) ** 0.5
+    assert mixed_norm(t, y, PsiSpec.degenerate(2.0)) == want
+
+
+# zeta(1, inf, 200, -1): (p - 1)^200 overflows above the crossover, where it is
+# not the weight; zeta(1, inf, 1, -200): p^-200 is subnormal or 0 for large p
+@pytest.mark.parametrize("psi", [PsiSpec.zeta(1.0, INF, 200.0, -1.0),
+                                 PsiSpec.zeta(1.0, INF, 1.0, -200.0)], ids=["overflow", "subnormal"])
+def test_extreme_zeta_weights_raise_no_warning(psi):
+    f = gaussian_sample(make_grid(1, 40.0, 1024), GaussianSpec(1.0, 1))
+    t = np.geomspace(0.1, 10.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (1e-8, 0.5, 1e4):
+            assert fundamental_gls(psi, delta).value > 0
+        assert math.isfinite(space_norm(f, psi))
+        assert math.isfinite(mixed_norm(t, t / (1.0 + t), psi))

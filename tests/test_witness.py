@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,3 +147,19 @@ def test_moment_law_d3_matches_closed_form_slopes():
     for r, fitted, _ in rows:
         exact = fit_rate(t, [gaussian_lp_exact(1.0 + 1j * ti, 3, r) for ti in t]).slope
         assert abs(fitted - exact) < GAP_TOL * abs(exact)
+
+
+def test_moment_law_holds_one_evolved_field_at_a_time():
+    grid = make_grid(2, 48.0, 256)
+    field_bytes = 16 * 256 ** 2
+
+    def peak(t_grid):
+        tracemalloc.start()
+        try:
+            gaussian_moment_law_check(2, [2.0, 4.0, INF], t_grid, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # eight more times must not hold eight more complex fields
+    assert peak(np.geomspace(3.0, 7.0, 12)) < peak(np.geomspace(3.0, 7.0, 4)) + 0.5 * field_bytes
