@@ -19,7 +19,8 @@ import numpy as np
 
 from .grid_field import INF, GridFunction, moment_profile
 from .propagators import HEAT, SCHRODINGER, PropagatorKind, propagate
-from .spaces import PsiSpec, _weighted_sup, exponent_grid, fundamental_gls, gls_norm
+from .spaces import (PsiSpec, _bounded_sup, _check_coverage, exponent_grid, fundamental_gls,
+                     gls_norm)
 
 __all__ = [
     "FunctionalCurve",
@@ -53,8 +54,24 @@ def space_profile(f: GridFunction, psi: PsiSpec, provenance: str = "grid"):
     return moment_profile(f, _exponents(psi), provenance)
 
 
+def _norm_in(psi: PsiSpec):
+    """f -> gls_norm(space_profile(f, psi), psi), with the moment profile taken only at
+    the exponents that can still set the sup.  A non-degenerate psi builds its
+    exponents and weights at the first call (a fault raises again at every call)."""
+    if psi.variant == "degenerate":
+        return lambda f: gls_norm(space_profile(f, psi), psi)
+
+    @functools.cache
+    def weighted_exponents():
+        p = _exponents(psi)
+        _check_coverage(p, psi.a, psi.b)
+        return p, psi.psi(p)
+
+    return lambda f: _bounded_sup(lambda q: moment_profile(f, q).values, *weighted_exponents())
+
+
 def space_norm(f: GridFunction, psi: PsiSpec) -> float:
-    return gls_norm(space_profile(f, psi), psi)
+    return _norm_in(psi)(f)
 
 
 def _check_input(f: GridFunction, t: float):
@@ -105,10 +122,10 @@ def w_sp(
     [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
     e = d/2 for heat and d/alpha for the fractional flow.
     """
-    return _w_sp(f, psiX, psiY, t, K1, K2, kind, _x_norm(f, psiX))
+    return _w_sp(f, psiX, psiY, t, K1, K2, kind, _x_norm(f, psiX), _norm_in(psiY))
 
 
-def _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm) -> float:
+def _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm, y_norm) -> float:
     _check_input(f, t)
     if not (K1 > 0 and K2 > 0):
         raise ValueError("constants K1, K2 must be positive")
@@ -119,7 +136,7 @@ def _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm) -> float:
     expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
     norm_x = x_norm()
     u = propagate(f, kind, t)
-    norm_y = gls_norm(space_profile(u, psiY), psiY)
+    norm_y = y_norm(u)
     phi_y = fundamental_gls(psiY, K1 * t ** expo).value
     phi_x = fundamental_gls(psiX, K2 * t ** expo).value
     return (norm_y / phi_y) / (norm_x / phi_x)
@@ -138,10 +155,10 @@ def v_sr(
     normalization="definition" divides by phi(X, K t^-d);
     normalization="proof" divides by phi(X, t^(d/2)) instead.
     """
-    return _v_sr(f, psiX, psiY, t, K, normalization, _x_norm(f, psiX))
+    return _v_sr(f, psiX, psiY, t, K, normalization, _x_norm(f, psiX), _norm_in(psiY))
 
 
-def _v_sr(f, psiX, psiY, t, K, normalization, x_norm) -> float:
+def _v_sr(f, psiX, psiY, t, K, normalization, x_norm, y_norm) -> float:
     _check_input(f, t)
     if not K > 0:
         raise ValueError("constant K must be positive")
@@ -153,7 +170,7 @@ def _v_sr(f, psiX, psiY, t, K, normalization, x_norm) -> float:
     d = f.grid.dim
     norm_x = x_norm()
     u = propagate(f, SCHRODINGER, t)
-    norm_y = gls_norm(space_profile(u, psiY), psiY)
+    norm_y = y_norm(u)
     arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
     phi_x = fundamental_gls(psiX, arg).value
     return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
@@ -207,14 +224,16 @@ def _sweep(eval_one, t_grid, label, meta) -> FunctionalCurve:
 
 def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K1": K1, "K2": K2, "kind": kind.kind}
-    x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm), t_grid, "SP", meta)
+    x_norm, y_norm = _x_norm(f, psiX), _norm_in(psiY)
+    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm, y_norm),
+                  t_grid, "SP", meta)
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K": K, "normalization": normalization}
-    x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm), t_grid, "SR", meta)
+    x_norm, y_norm = _x_norm(f, psiX), _norm_in(psiY)
+    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm, y_norm),
+                  t_grid, "SR", meta)
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
@@ -248,7 +267,7 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
         return float(np.trapezoid(y ** q, t)) ** (1.0 / q)
 
     q = _exponents(theta)
-    return _weighted_sup(np.array([h(qi) for qi in q.tolist()]), theta.psi(q))
+    return _bounded_sup(lambda qs: np.array([h(qi) for qi in qs.tolist()]), q, theta.psi(q))
 
 
 @dataclass(frozen=True)

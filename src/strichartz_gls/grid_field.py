@@ -114,6 +114,20 @@ class GridFunction:
         s.flags.writeable = False
         return s
 
+    @cached_property
+    def _sorted_neg_logs(self) -> tuple:
+        """(m, -log(|f|/m) over the nonzero nodes, sorted) with m = max |f|, taken at
+        first use, so the moment profiles of one function take one log and one sort."""
+        a = np.abs(self.values)
+        m = float(a.max())
+        nl = a[a > 0]
+        nl /= m
+        np.log(nl, out=nl)
+        np.negative(nl, out=nl)
+        nl.sort()
+        nl.flags.writeable = False
+        return m, nl
+
     def _check_same_grid(self, other: "GridFunction"):
         if self.grid != other.grid:
             raise ValueError("operands must share an identical Grid")
@@ -236,22 +250,12 @@ class MomentProfile:
         return float(self.values[i])
 
 
-def _power_sums(a: np.ndarray, m: float, p: np.ndarray) -> list:
-    """sum((a / m) ** p_i) for each finite, increasing exponent p_i.
-
-    Computed as exp(p_i * log(a / m)) from one log over the nonzero nodes,
-    sorted so that each block of exponents exponentiates only the nodes
-    whose term does not underflow to 0.0 at the block's smallest exponent.
-    """
-    if p.size == 1:
-        return [float(np.sum((a / m) ** p[0]))]
-    nl = a[a > 0]
-    nl /= m
-    np.log(nl, out=nl)
-    np.negative(nl, out=nl)
-    nl.sort()
+def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:
+    """sum(exp(-p_i * nl)) for each finite, increasing exponent p_i, with nl the sorted
+    -log(|f|/m) of the nonzero nodes: each block of exponents exponentiates only the
+    nodes whose term does not underflow to 0.0 at the block's smallest exponent."""
     # one buffer of one size per grid: blocks of varying size fragmented the heap
-    buf = np.empty(max(BLOCK_ELEMENTS, a.size))
+    buf = np.empty(max(BLOCK_ELEMENTS, nodes))
     sums = []
     i = 0
     while i < p.size:
@@ -276,19 +280,20 @@ def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfi
     for pi in p:
         if not pi >= 1:
             raise ValueError(f"exponent must satisfy p >= 1, got {pi}")
-    a = np.abs(f.values)
-    m = float(a.max())
-    vol = f.grid.cell_volume
-    out = np.zeros(p.size)
-    if m == 0.0:
-        return MomentProfile(p, out, provenance)
     finite = p[p != INF]
+    if finite.size > 1:
+        m, nl = f._sorted_neg_logs
+        sums = _power_sums(nl, finite, f.values.size) if m else []
+    else:  # one power sum over every node
+        a = np.abs(f.values)
+        m = float(a.max())
+        sums = [float(np.sum((a / m) ** finite[0]))] if finite.size and m else []
+    out = np.zeros(p.size)
     out[finite.size:] = m
-    if finite.size:
-        sums = _power_sums(a, m, finite)
-        # finished one exponent at a time: the vectorised power moves the last digit
-        for i, (pi, s) in enumerate(zip(finite.tolist(), sums)):
-            out[i] = m * (s * vol) ** (1.0 / pi)
+    vol = f.grid.cell_volume
+    # finished one exponent at a time: the vectorised power moves the last digit
+    for i, (pi, s) in enumerate(zip(finite.tolist(), sums)):
+        out[i] = m * (s * vol) ** (1.0 / pi)
     return MomentProfile(p, out, provenance)
 
 

@@ -218,13 +218,12 @@ def exponent_grid(
     return pts[(pts > a) & (pts < b)]
 
 
-def _coverage_ok(p_inside: np.ndarray, a: float, b: float) -> bool:
-    if p_inside.size < 64:
-        return False
-    if b == INF:
-        return p_inside[0] - a <= 0.05 * max(1.0, a)
-    span = b - a
-    return (p_inside[0] - a) <= 0.05 * span and (b - p_inside[-1]) <= 0.05 * span
+def _check_coverage(p_inside: np.ndarray, a: float, b: float):
+    """Raise unless at least 64 exponents reach within 5% of each finite end of (a, b)."""
+    span = max(1.0, a) if b == INF else b - a
+    if not (p_inside.size >= 64 and p_inside[0] - a <= 0.05 * span
+            and (b == INF or b - p_inside[-1] <= 0.05 * span)):
+        raise ValueError(f"profile grid does not cover ({a}, {b}) densely enough")
 
 
 def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
@@ -236,8 +235,7 @@ def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
         return profile.value_at(psi.s)
     inside = (profile.p_grid > psi.a) & (profile.p_grid < psi.b)
     p_in = profile.p_grid[inside]
-    if not _coverage_ok(p_in, psi.a, psi.b):
-        raise ValueError(f"profile grid does not cover ({psi.a}, {psi.b}) densely enough")
+    _check_coverage(p_in, psi.a, psi.b)
     return _weighted_sup(profile.values[inside], psi.psi(p_in))
 
 
@@ -249,6 +247,36 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(h, w, out=ratio, where=(h > 0) & (w < INF))
     return float(ratio.max(initial=0.0))
+
+
+def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.ndarray) -> float:
+    """_weighted_sup(h_at(p), w), calling h_at only on exponents that can still set the sup.
+
+    h_at maps an increasing subset of p to its values; p * log h(p) must be convex
+    (Lyapunov, for a moment profile), so between evaluated exponents log h lies below
+    the chord of p * log h over p.  Round 1 evaluates every 16th exponent and the
+    last; each later round every exponent whose bound on log(h/w) is not below log
+    of the best ratio so far less 1e-9 (rounding), until none is or the sup is inf.
+    """
+    h, done = np.zeros(p.size), np.zeros(p.size, dtype=bool)
+    pick = np.union1d(np.arange(0, p.size, 16), [p.size - 1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_w = np.log(w)
+        while pick.size:
+            h[pick] = h_at(p[pick])
+            done[pick] = True
+            best = _weighted_sup(h[done], w[done])
+            if best == INF:
+                break
+            known, todo = np.flatnonzero(done), np.flatnonzero(~done)
+            r = np.searchsorted(known, todo)  # the first and last exponents are known
+            left, right = known[r - 1], known[r]
+            g = p * np.log(h)
+            t = (p[todo] - p[left]) / (p[right] - p[left])
+            log_bound = ((1.0 - t) * g[left] + t * g[right]) / p[todo] - log_w[todo]
+            # a NaN bound (h = 0 next to h = inf) is evaluated, not pruned
+            pick = todo[~(log_bound < np.log(best) - 1e-9)]
+    return best
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .grid_field import (
     INF,
     GaussianSpec,
     Grid,
-    MomentProfile,
     gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
@@ -32,7 +31,7 @@ from .propagators import (
     propagate,
     propagate_gaussian_exact,
 )
-from .spaces import PsiSpec, fundamental_gls, gls_norm
+from .spaces import PsiSpec, _bounded_sup, fundamental_gls, gls_norm
 
 __all__ = ["WitnessReport", "sp_witness", "sr_witness", "gaussian_moment_law_check"]
 
@@ -106,16 +105,12 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     for i, t in enumerate(t_grid):
         variance = propagate_gaussian_exact(spec, kind, float(t)).sigma2
         prof_grid = space_profile(propagate(f, kind, float(t)), nu, "grid")
-        p_grid = prof_grid.p_grid
-        prof_exact = MomentProfile(
-            p_grid,
-            np.array([gaussian_lp_exact(variance, d, float(p)) for p in p_grid]),
-            "closed-form",
-        )
+        p = prof_grid.p_grid
         phi_y = fundamental_gls(nu, float(t) ** expo).value
         phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
         grid_vals[i] = (gls_norm(prof_grid, nu) / phi_y) * (phi_x / norm_x_grid)
-        closed_vals[i] = (gls_norm(prof_exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
+        exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
+        closed_vals[i] = (_bounded_sup(exact, p, nu.psi(p)) / phi_y) * phi_x  # |g_1|_1 = 1
     gaps = np.abs(grid_vals - closed_vals) / closed_vals
     return WitnessReport(
         t_grid,

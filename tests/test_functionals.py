@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strichartz_gls import functionals
+from strichartz_gls import cli, functionals
 from strichartz_gls import (
     HEAT,
     INF,
@@ -250,6 +252,22 @@ def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
         single(f, psiX, psiY, 2.0)
     with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
         single(f, psiX, psiY, 16.0)
+
+
+def test_sweep_takes_few_moment_profile_exponents(monkeypatch, tmp_path):
+    # the shipped SP sweep: one X norm and one Y norm per time, each of whose full
+    # exponent grids the bounded sup mostly never evaluates
+    config = Path(__file__).resolve().parents[1] / "configs" / "functional_sweep_sp.json"
+    spec = json.loads(config.read_text())
+    moment_profile = functionals.moment_profile
+    asked = []
+    monkeypatch.setattr(functionals, "moment_profile",
+                        lambda f, p, *rest: asked.append(len(p)) or moment_profile(f, p, *rest))
+    assert cli.run(str(config), str(tmp_path)) == 0
+    psiX, psiY = (PsiSpec.zeta(*(spec[s][k] for k in ("a", "b", "alpha", "beta"))) for s in "XY")
+    full = (functionals._exponents(psiX).size
+            + spec["t_grid"]["count"] * functionals._exponents(psiY).size)
+    assert 0 < sum(asked) <= 0.25 * full
 
 
 def test_curve_fit_matches_closed_form_slope():

@@ -7,6 +7,7 @@ import pytest
 from strichartz_gls import (
     INF,
     GaussianSpec,
+    GridFunction,
     PsiSpec,
     ZetaParams,
     box_indicator,
@@ -20,10 +21,11 @@ from strichartz_gls import (
     mixed_norm,
     moment_profile,
     space_norm,
+    space_profile,
     zeta_crossover,
     zeta_eval,
 )
-from strichartz_gls.spaces import _weighted_sup
+from strichartz_gls.spaces import _bounded_sup, _weighted_sup
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -325,6 +327,33 @@ def test_psi_array_with_one_point_outside_raises(name):
 def test_weighted_sup_rules(h, w, want):
     got = _weighted_sup(np.array(h, dtype=float), np.array(w, dtype=float))
     assert type(got) is float and got == want
+
+
+def test_bounded_sup_evaluates_a_nan_bound():
+    # round 1 takes p[0], p[16] and p[32]; between h = 0 and h = inf the chord of
+    # p log h is -inf + inf = NaN, so p[20] must be evaluated, not pruned
+    p = np.arange(1.0, 34.0)
+    h = np.ones(p.size)
+    h[16], h[20], h[32] = 0.0, 5.0, INF
+    w = np.ones(p.size)
+    w[32] = INF
+    assert _bounded_sup(lambda q: h[(q - 1.0).astype(int)], p, w) == 5.0 == _weighted_sup(h, w)
+
+
+@pytest.mark.parametrize("name", ["zeta-finite-b", "zeta-infinite-b", "table"])
+@pytest.mark.parametrize("data", ["gaussian", "indicator", "zero"])
+def test_space_norm_matches_full_profile_sup(name, data):
+    psi = ARRAY_WEIGHTS[name][0]
+    g = make_grid(1, 32.0, 1024)
+    f = {"gaussian": gaussian_sample(g, GaussianSpec(1.0, 1)),
+         "indicator": box_indicator(g, 16),
+         "zero": GridFunction(g, np.zeros(1024))}[data]
+    want = gls_norm(space_profile(f, psi), psi)
+    got = space_norm(f, psi)
+    if data == "zero":
+        assert got == want == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_mixed_norm_degenerate_is_h_of_s():
