@@ -137,12 +137,10 @@ def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float)
 
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:
     """Multiplier -||xi||^2 exp(-t ||xi||^alpha); t must be strictly positive."""
-    if not 0 < alpha <= 2:
-        raise ValueError(f"fractional order must lie in (0, 2], got {alpha}")
+    kind = fractional(alpha)
     if not t > 0:
         raise ValueError("laplacian_propagate requires t > 0")
-    k2 = f.grid.frequency_squared()
-    return _apply_multiplier(f, -k2 * np.exp(-t * k2 ** (alpha / 2.0)))
+    return _apply_multiplier(f, -f.grid.frequency_squared() * _multiplier(f.grid, kind, t))
 
 
 def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) -> float:

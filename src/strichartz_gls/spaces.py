@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 CROSSOVER_TOL = 1e-12
+PROFILE_MIN_OFFSET = 1e-3  # least offset from a and b of the exponents a norm samples
 
 
 def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
@@ -190,6 +192,16 @@ class PsiSpec:
     def msupp(self) -> tuple:
         return (self.a, self.b)
 
+    @cached_property
+    def samples(self) -> tuple:
+        """(exponents, weights) that a norm weighted by psi takes its sup over, built at
+        first use and kept read-only: ([s], [1.0]) for a degenerate weight."""
+        p = (np.array([self.s]) if self.variant == "degenerate" else
+             exponent_grid(self.a, self.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET))
+        w = self.psi(p)
+        p.flags.writeable = w.flags.writeable = False
+        return p, w
+
 
 def exponent_grid(
     a: float,
@@ -247,6 +259,14 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(h, w, out=ratio, where=(h > 0) & (w < INF))
     return float(ratio.max(initial=0.0))
+
+
+def _gls_sup(h_at: Callable[[np.ndarray], np.ndarray], psi: PsiSpec) -> float:
+    """sup_p h(p)/psi(p) over the exponents psi samples, h_at mapping an increasing
+    subset of them to h; a non-degenerate psi must cover its interval."""
+    if psi.variant != "degenerate":
+        _check_coverage(psi.samples[0], psi.a, psi.b)
+    return _bounded_sup(h_at, *psi.samples)
 
 
 def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.ndarray) -> float:

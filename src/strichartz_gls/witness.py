@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import fit_rate, space_profile
+from .functionals import fit_rate, space_norm
 from .grid_field import (
     INF,
     GaussianSpec,
@@ -31,7 +31,7 @@ from .propagators import (
     propagate,
     propagate_gaussian_exact,
 )
-from .spaces import PsiSpec, _bounded_sup, fundamental_gls, gls_norm
+from .spaces import PsiSpec, _gls_sup, fundamental_gls
 
 __all__ = ["WitnessReport", "sp_witness", "sr_witness", "gaussian_moment_law_check"]
 
@@ -98,19 +98,17 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
 
     spec = GaussianSpec(1.0, d)
     f = gaussian_sample(grid, spec)
-    norm_x_grid = lp_norm(f, 1.0)
+    norm_x = lp_norm(f, 1.0)
 
     grid_vals = np.empty(t_grid.size)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         variance = propagate_gaussian_exact(spec, kind, float(t)).sigma2
-        prof_grid = space_profile(propagate(f, kind, float(t)), nu, "grid")
-        p = prof_grid.p_grid
         phi_y = fundamental_gls(nu, float(t) ** expo).value
         phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
-        grid_vals[i] = (gls_norm(prof_grid, nu) / phi_y) * (phi_x / norm_x_grid)
+        grid_vals[i] = (space_norm(propagate(f, kind, float(t)), nu) / phi_y) * (phi_x / norm_x)
         exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
-        closed_vals[i] = (_bounded_sup(exact, p, nu.psi(p)) / phi_y) * phi_x  # |g_1|_1 = 1
+        closed_vals[i] = (_gls_sup(exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
     gaps = np.abs(grid_vals - closed_vals) / closed_vals
     return WitnessReport(
         t_grid,
@@ -122,18 +120,16 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     )
 
 
-def sr_witness(t_grid, grid: Grid, d: int | None = None) -> WitnessReport:
+def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     """Dispersive witness: the SR functional at f = g_1 with X = L_1, Y = L_inf.
 
     Closed form: t^(d/2) (2 pi)^(-d/2) (1 + t^2)^(-d/4), which tends to the
     positive constant (2 pi)^(-d/2).
     """
     t_grid = _witness_times(t_grid, grid, SCHRODINGER)
-    d = grid.dim if d is None else d
-    if d != grid.dim:
-        raise ValueError("dimension does not match grid")
+    d = grid.dim
     f = gaussian_sample(grid, GaussianSpec(1.0, d))
-    norm_x_grid = lp_norm(f, 1.0)
+    norm_x = lp_norm(f, 1.0)
 
     grid_vals = np.empty(t_grid.size)
     closed_vals = np.empty(t_grid.size)
@@ -141,7 +137,7 @@ def sr_witness(t_grid, grid: Grid, d: int | None = None) -> WitnessReport:
         u = propagate(f, SCHRODINGER, float(t))
         sup_u = lp_norm(u, INF)
         phi_x = float(t) ** (-float(d))
-        grid_vals[i] = float(t) ** (-d / 2.0) * sup_u / (norm_x_grid * phi_x)
+        grid_vals[i] = float(t) ** (-d / 2.0) * sup_u / (norm_x * phi_x)
         closed_vals[i] = (
             float(t) ** (d / 2.0)
             * (2.0 * math.pi) ** (-d / 2.0)

@@ -163,6 +163,16 @@ def test_mixed_norm_summary(tmp_path):
     assert data["finite"] is True
 
 
+def test_mixed_norm_uncovered_theta_exit_code(tmp_path, capsys):
+    # a theta whose profile grid cannot cover (a, b) is rejected, as for X and Y
+    cfg = json.loads((CONFIG_DIR / "mixed_norm.json").read_text())
+    cfg["theta"] = {"variant": "table", "points": {"1.0": 1.0, "1.01": 1.0}}
+    path = tmp_path / "narrow_theta.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 2
+    assert "does not cover (1.0, 1.01)" in capsys.readouterr().err
+
+
 WITNESS_CONFIGS = {
     "witness-sp": {"nu": {"variant": "table", "points": {"2.0": 1.0, "4.0": 1.0}}},
     "witness-sr": {},

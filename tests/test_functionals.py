@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strichartz_gls import cli, functionals
+from strichartz_gls import cli, functionals, spaces
 from strichartz_gls import (
     HEAT,
     INF,
@@ -265,9 +266,22 @@ def test_sweep_takes_few_moment_profile_exponents(monkeypatch, tmp_path):
                         lambda f, p, *rest: asked.append(len(p)) or moment_profile(f, p, *rest))
     assert cli.run(str(config), str(tmp_path)) == 0
     psiX, psiY = (PsiSpec.zeta(*(spec[s][k] for k in ("a", "b", "alpha", "beta"))) for s in "XY")
-    full = (functionals._exponents(psiX).size
-            + spec["t_grid"]["count"] * functionals._exponents(psiY).size)
+    full = psiX.samples[0].size + spec["t_grid"]["count"] * psiY.samples[0].size
     assert 0 < sum(asked) <= 0.25 * full
+
+
+def test_rate_report_builds_each_profile_grid_once(monkeypatch, tmp_path):
+    # X and Y each sample their exponents once, not Y once per time; every module
+    # binding of exponent_grid is wrapped, wherever the grid is built from
+    config = Path(__file__).resolve().parents[1] / "configs" / "rate_report.json"
+    exponent_grid = spaces.exponent_grid
+    offsets = []
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "strichartz_gls"]:
+        if getattr(mod, "exponent_grid", None) is exponent_grid:
+            monkeypatch.setattr(mod, "exponent_grid", lambda *a, **k: offsets.append(
+                k.get("min_offset")) or exponent_grid(*a, **k))
+    assert cli.run(str(config), str(tmp_path)) == 0
+    assert offsets.count(functionals.PROFILE_MIN_OFFSET) == 2
 
 
 def test_curve_fit_matches_closed_form_slope():
@@ -311,6 +325,15 @@ def test_mixed_norm_gls_weight():
     got = mixed_norm(t, y, PsiSpec.constant(1.0, 1.5, 4.0))
     # sup over q of (0.9)^{1/q}: approached at q -> 4
     assert got == pytest.approx(0.9 ** 0.25, rel=1e-3)
+
+
+def test_mixed_norm_rejects_an_uncovered_theta():
+    # the shipped curve under a theta too narrow for the profile grid: space_norm
+    # rejects such a weight, and so does the time norm
+    t = np.geomspace(1e-12, 1.0, 2048)
+    theta = PsiSpec.table({1.0: 1.0, 1.01: 1.0})
+    with pytest.raises(ValueError, match=r"does not cover \(1\.0, 1\.01\) densely enough"):
+        mixed_norm(t, t ** -0.25, theta)
 
 
 def test_mixed_norm_guards():

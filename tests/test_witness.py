@@ -1,9 +1,12 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from strichartz_gls import cli, functionals
 from strichartz_gls import (
     HEAT,
     INF,
@@ -33,6 +36,20 @@ def test_sp_witness_two_channels_agree():
     nu = PsiSpec.table({2.0: 1.0, 4.0: 1.0})
     rep = sp_witness(nu, SP_TIMES, SP_GRID)
     assert rep.max_gap < GAP_TOL
+
+
+def test_sp_witness_takes_few_moment_profile_exponents(monkeypatch, tmp_path):
+    # the grid channel takes the norm the functionals take: the bounded sup over the
+    # weight's exponents, not a full moment profile at every time
+    config = Path(__file__).resolve().parents[1] / "configs" / "witness_sp.json"
+    spec = json.loads(config.read_text())
+    moment_profile = functionals.moment_profile
+    asked = []
+    monkeypatch.setattr(functionals, "moment_profile",
+                        lambda f, p, *rest: asked.append(len(p)) or moment_profile(f, p, *rest))
+    assert cli.run(str(config), str(tmp_path)) == 0
+    nu = PsiSpec.table(spec["nu"]["points"])
+    assert 0 < sum(asked) <= 0.25 * len(spec["t_grid"]) * nu.samples[0].size
 
 
 def test_sp_witness_bounded_and_positive():
@@ -101,8 +118,6 @@ def test_sr_witness_guards():
         sr_witness([1.0, 16.0], SR_GRID)
     with pytest.raises(ValueError):
         sr_witness(np.geomspace(16.0, 1e7, 5), SR_GRID)
-    with pytest.raises(ValueError):
-        sr_witness(SR_TIMES, SR_GRID, d=2)
 
 
 def test_moment_law_check_rows():
