@@ -49,7 +49,7 @@ from .propagators import (
     fractional,
     propagate,
 )
-from .spaces import PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_gls
+from .spaces import CoverageError, PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_gls
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
 
 _FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional": None}
@@ -150,9 +150,12 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _config_fault(field: str = ""):
-    """Report a ValueError raised in the block as a config fault (exit 1)."""
+    """Report a ValueError raised in the block as a config fault (exit 1); an uncovered
+    weight stays a numerical-domain fault (exit 2)."""
     try:
         yield
+    except CoverageError:
+        raise
     except ValueError as e:
         raise ConfigError(f"invalid {field}: {e}" if field else str(e))
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .grid_field import INF, GridFunction, moment_profile
 from .propagators import HEAT, SCHRODINGER, PropagatorKind, propagate
-from .spaces import PROFILE_MIN_OFFSET, PsiSpec, _gls_sup, fundamental_gls  # noqa: F401 (re-export)
+from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
+from .spaces import PsiSpec, _check_covered, _gls_sup, fundamental_gls
 
 __all__ = [
     "FunctionalCurve",
@@ -184,7 +185,11 @@ class FunctionalCurve:
         return fit_rate(self.t_grid, self.values, with_log=with_log)
 
 
-def _sweep(eval_one, t_grid, label, meta) -> FunctionalCurve:
+def _sweep(eval_one, t_grid, label, meta, weights) -> FunctionalCurve:
+    """eval_one at each time, a ValueError excluding its time.  The weights do not
+    depend on t, so an uncovered one raises once, before the first time."""
+    for psi in weights:
+        _check_covered(psi)
     ts, vals, excl = [], [], []
     for t in np.asarray(t_grid, dtype=float):
         try:
@@ -205,13 +210,15 @@ def _sweep(eval_one, t_grid, label, meta) -> FunctionalCurve:
 def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K1": K1, "K2": K2, "kind": kind.kind}
     x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm), t_grid, "SP", meta)
+    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm), t_grid, "SP", meta,
+                  (psiX, psiY))
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
     meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K": K, "normalization": normalization}
     x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm), t_grid, "SR", meta)
+    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm), t_grid,
+                  "SR", meta, (psiX, psiY))
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -61,30 +62,47 @@ class Grid:
         """Node coordinates along one axis: x_k = -L + k*h."""
         return -self.half_extent + self.spacing * np.arange(self.points_per_axis)
 
-    def _sum_of_squares(self, axis_values: np.ndarray) -> np.ndarray:
-        """sum_j v_(k_j)^2 over the d axes at every node, shape self.shape."""
-        sq = axis_values ** 2
-        out = sq
-        for _ in range(self.dim - 1):
-            out = np.add.outer(out, sq)
-        return out
-
-    def squared_radius(self) -> np.ndarray:
-        """||x||^2 at every node, shape self.shape."""
-        return self._sum_of_squares(self.axis_coords())
-
     def _axis_frequencies(self) -> np.ndarray:
         """Dual-grid frequencies along one axis, xi_k = pi*k/L in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     def frequency_squared(self) -> np.ndarray:
         """||xi||^2 on the discrete dual grid, xi_k = pi*k/L in FFT order."""
-        return self._sum_of_squares(self._axis_frequencies())
+        sq = self._axis_frequencies() ** 2
+        out = sq
+        for _ in range(self.dim - 1):
+            out = np.add.outer(out, sq)
+        return out
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
     """Build a Grid; rejects unsupported d, nonpositive L, non-power-of-two N."""
     return Grid(dim=d, half_extent=float(L), points_per_axis=int(N))
+
+
+def _read_only(a) -> np.ndarray:
+    """a as a read-only complex array view."""
+    v = np.asarray(a, dtype=complex).view()
+    v.flags.writeable = False
+    return v
+
+
+def _map_shared(fn, arrays) -> tuple:
+    """fn of each array, taken once per distinct array object: an array that several
+    axes share gives one result, shared by the same axes."""
+    done = {}
+    for a in arrays:
+        if id(a) not in done:
+            done[id(a)] = fn(a)
+    return tuple(done[id(a)] for a in arrays)
+
+
+def _tensor_product(factors) -> np.ndarray:
+    """factors[0][k_1] * ... * factors[d-1][k_d] at every node: the outer product."""
+    out = factors[0]
+    for v in factors[1:]:
+        out = np.multiply.outer(out, v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,26 +111,45 @@ class GridFunction:
 
     values is held as a read-only view, so the cached spectrum cannot go
     stale through it; an array passed in must not be written afterwards.
+
+    A tensor product f(x) = f_1(x_1) ... f_d(x_d) may be given by its
+    factors instead of its values: d arrays of N samples, one object
+    serving every axis it is passed for.  values is then their outer
+    product, and propagate transforms the factors, not values.
     """
 
     grid: Grid
-    values: np.ndarray
+    values: Optional[np.ndarray] = None
+    factors: Optional[tuple] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).view()
+        if self.factors is not None:
+            if self.values is not None:
+                raise ValueError("give values or factors, not both")
+            factors = _map_shared(_read_only, self.factors)
+            if len(factors) != self.grid.dim or any(
+                    v.shape != (self.grid.points_per_axis,) for v in factors):
+                raise ValueError(f"factors must be {self.grid.dim} arrays of "
+                                 f"{self.grid.points_per_axis} samples")
+            object.__setattr__(self, "factors", factors)
+            object.__setattr__(self, "values", _tensor_product(factors))
+        v = _read_only(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values contain non-finite entries")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """fftn(values), taken at first use and kept read-only."""
-        s = np.fft.fftn(self.values)
-        s.flags.writeable = False
-        return s
+        return _read_only(np.fft.fftn(self.values))
+
+    @cached_property
+    def _factor_spectra(self) -> tuple:
+        """The transform of each factor, taken at first use, once per distinct factor,
+        and kept read-only."""
+        return _map_shared(lambda v: _read_only(np.fft.fftn(v)), self.factors)
 
     @cached_property
     def _sorted_neg_logs(self) -> tuple:
@@ -186,8 +223,9 @@ def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
     if tail > TAIL_MASS_TOL:
         raise ValueError(f"truncated Gaussian mass {tail:.3g} exceeds {TAIL_MASS_TOL}")
     amp = (2.0 * np.pi * s2) ** (-grid.dim / 2.0)
-    vals = amp * np.exp(-grid.squared_radius() / (2.0 * s2))
-    return GridFunction(grid, vals)
+    # exp(-||x||^2/(2 s2)) is the product over the axes of one factor
+    e = np.exp(-grid.axis_coords() ** 2 / (2.0 * s2))
+    return GridFunction(grid, factors=(amp * e,) + (e,) * (grid.dim - 1))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -287,7 +325,12 @@ def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfi
     else:  # one power sum over every node
         a = np.abs(f.values)
         m = float(a.max())
-        sums = [float(np.sum((a / m) ** finite[0]))] if finite.size and m else []
+        sums = []
+        if finite.size and m:
+            a /= m
+            if finite[0] != 1:  # x ** 1.0 is x, and costs as much as any other power
+                a **= finite[0]
+            sums = [float(np.sum(a))]
     out = np.zeros(p.size)
     out[finite.size:] = m
     vol = f.grid.cell_volume
@@ -305,10 +348,7 @@ def box_indicator(grid: Grid, nodes_per_axis: int) -> GridFunction:
     axis = np.zeros(grid.points_per_axis)
     start = (grid.points_per_axis - m) // 2
     axis[start:start + m] = 1.0
-    vals = axis
-    for _ in range(grid.dim - 1):
-        vals = np.multiply.outer(vals, axis)
-    return GridFunction(grid, vals.astype(complex))
+    return GridFunction(grid, factors=(axis,) * grid.dim)
 
 
 def box_measure(grid: Grid, nodes_per_axis: int) -> float:

@@ -10,14 +10,16 @@ Note the fractional multiplier at a = 2 has no 1/2, so S_2(t) equals the
 heat flow at doubled time; this identity is asserted in tests rather than
 hidden by renormalizing.
 
-Each call costs one pointwise product and one inverse transform: the
-forward transform of f is GridFunction.spectrum, taken once per initial
-datum and cached on it.  The heat and Schrodinger multipliers are
-separable, so they are built as the outer product of d one-axis factors
-(d exponentials of length N, not one over all N^d nodes); the fractional
-multiplier is not, and takes its exponential over the full grid.  The
-product is written into the multiplier's buffer when both are complex,
-and the inverse transform runs in place on it.
+The heat, Schrodinger and order-2 fractional multipliers are products
+m_1(xi_1) ... m_1(xi_d) of one one-axis symbol (in d = 1 every multiplier
+is).  A GridFunction given by one-axis factors (the Gaussian and the box
+indicator are) propagates under such a flow factor by factor,
+ifft(m_1 * fft(f_j)) once per distinct factor, into a factored field, with
+the forward transforms cached on f: no N^d transform is taken.  Every
+other case (fractional orders other than 2 in d >= 2, laplacian_propagate,
+sums of fields, convolutions) multiplies the N^d multiplier into
+GridFunction.spectrum, the cached fftn of f, and takes one inverse fftn,
+in place on the multiplier's buffer when both are complex.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import GaussianSpec, Grid, GridFunction
+from .grid_field import GaussianSpec, Grid, GridFunction, _map_shared, _tensor_product
 
 __all__ = [
     "PropagatorKind",
@@ -67,22 +69,30 @@ def fractional(alpha: float) -> PropagatorKind:
     return PropagatorKind("fractional", alpha)
 
 
-def _outer_product(factor: np.ndarray, dim: int) -> np.ndarray:
-    """factor[k_1] * ... * factor[k_dim] at every node of the grid."""
-    out = factor
-    for _ in range(dim - 1):
-        out = np.multiply.outer(out, factor)
-    return out
+def _axis_symbol(grid: Grid, kind: PropagatorKind, t: float) -> Optional[np.ndarray]:
+    """The one-axis symbol, in FFT order, of a flow whose multiplier is its product over
+    the axes (heat, Schrodinger, fractional of order 2 or in d = 1); None for another.
+    It depends on xi_k^2 = xi_(N-k)^2 alone, so its exponential is taken over the
+    N/2 + 1 nonnegative frequencies and mirrored."""
+    if kind.kind == "fractional" and kind.alpha != 2 and grid.dim > 1:
+        return None
+    n = grid.points_per_axis
+    xi2 = grid._axis_frequencies()[:n // 2 + 1] ** 2
+    if kind.kind == "heat":
+        half = np.exp(-t * xi2 / 2.0)
+    elif kind.kind == "schrodinger":
+        half = np.exp(-1j * t * xi2 / 2.0)
+    else:
+        half = np.exp(-t * xi2 ** (kind.alpha / 2.0))
+    return np.concatenate((half, half[n // 2 - 1:0:-1]))
 
 
 def _multiplier(grid: Grid, kind: PropagatorKind, t: float) -> np.ndarray:
-    if kind.kind == "fractional":
+    m = _axis_symbol(grid, kind, t)
+    if m is None:
         # ||xi||^alpha = (||xi||^2)^(alpha/2); the zero mode gives exp(0) = 1
         return np.exp(-t * grid.frequency_squared() ** (kind.alpha / 2.0))
-    xi2 = grid._axis_frequencies() ** 2
-    if kind.kind == "heat":
-        return _outer_product(np.exp(-t * xi2 / 2.0), grid.dim)
-    return _outer_product(np.exp(-1j * t * xi2 / 2.0), grid.dim)
+    return _tensor_product((m,) * grid.dim)
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
@@ -98,12 +108,24 @@ def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     return GridFunction(f.grid, np.fft.ifftn(prod, out=prod))
 
 
+def _apply_axis_symbol(m: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """One factor of a propagated field: the inverse transform of m * spectrum, taken in
+    place on the product."""
+    prod = np.multiply(m, spectrum)
+    return np.fft.ifftn(prod, out=prod)
+
+
 def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
-    """The flow of the given kind at time t, applied through its multiplier."""
+    """The flow of the given kind at time t, applied through its multiplier; a factored
+    f under a product flow gives a factored field, each factor propagated alone."""
     if t < 0 and kind.kind != "schrodinger":
         raise ValueError(f"negative time is only legal for schrodinger, got t={t}")
     if t == 0:
         return GridFunction(f.grid, f.values.copy())
+    m = _axis_symbol(f.grid, kind, t) if f.factors is not None else None
+    if m is not None:
+        return GridFunction(f.grid, factors=_map_shared(
+            lambda s: _apply_axis_symbol(m, s), f._factor_spectra))
     return _apply_multiplier(f, _multiplier(f.grid, kind, t))
 
 

@@ -202,6 +202,15 @@ class PsiSpec:
         p.flags.writeable = w.flags.writeable = False
         return p, w
 
+    @cached_property
+    def _fundamental_samples(self) -> tuple:
+        """(exponents, log psi) that fundamental_gls samples for a finite b, which do not
+        depend on delta, built at first use and kept read-only."""
+        p = exponent_grid(self.a, self.b, per_decade=64, min_offset=1e-12)
+        log_w = np.log(self.psi(p))
+        p.flags.writeable = log_w.flags.writeable = False
+        return p, log_w
+
 
 def exponent_grid(
     a: float,
@@ -230,12 +239,23 @@ def exponent_grid(
     return pts[(pts > a) & (pts < b)]
 
 
+class CoverageError(ValueError):
+    """An exponent grid too sparse near an end of its weight's interval: a fault of the
+    numerical domain of the weight, not of how a config states it."""
+
+
 def _check_coverage(p_inside: np.ndarray, a: float, b: float):
     """Raise unless at least 64 exponents reach within 5% of each finite end of (a, b)."""
     span = max(1.0, a) if b == INF else b - a
     if not (p_inside.size >= 64 and p_inside[0] - a <= 0.05 * span
             and (b == INF or b - p_inside[-1] <= 0.05 * span)):
-        raise ValueError(f"profile grid does not cover ({a}, {b}) densely enough")
+        raise CoverageError(f"profile grid does not cover ({a}, {b}) densely enough")
+
+
+def _check_covered(psi: PsiSpec):
+    """Raise unless the exponents psi samples cover its interval (a degenerate psi does)."""
+    if psi.variant != "degenerate":
+        _check_coverage(psi.samples[0], psi.a, psi.b)
 
 
 def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
@@ -264,8 +284,7 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
 def _gls_sup(h_at: Callable[[np.ndarray], np.ndarray], psi: PsiSpec) -> float:
     """sup_p h(p)/psi(p) over the exponents psi samples, h_at mapping an increasing
     subset of them to h; a non-degenerate psi must cover its interval."""
-    if psi.variant != "degenerate":
-        _check_coverage(psi.samples[0], psi.a, psi.b)
+    _check_covered(psi)
     return _bounded_sup(h_at, *psi.samples)
 
 
@@ -345,12 +364,14 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> FundamentalValue:
     logd = math.log(delta)
     log_obj = lambda p: logd / p - math.log(psi.psi(p))
 
-    p_cap = None
-    if psi.b == INF:
+    if psi.b == INF:  # the exponents reach further for a delta further from 1
         p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0))
-    grid = exponent_grid(psi.a, psi.b, per_decade=64, min_offset=1e-12, p_cap=p_cap)
+        grid = exponent_grid(psi.a, psi.b, per_decade=64, min_offset=1e-12, p_cap=p_cap)
+        log_psi = np.log(psi.psi(grid))
+    else:
+        grid, log_psi = psi._fundamental_samples
     # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
-    vals = logd / grid - np.log(psi.psi(grid))
+    vals = logd / grid - log_psi
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

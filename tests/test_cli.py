@@ -173,6 +173,31 @@ def test_mixed_norm_uncovered_theta_exit_code(tmp_path, capsys):
     assert "does not cover (1.0, 1.01)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field, points", [
+    ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
+    ("functional_sweep_sp.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
+    ("functional_sweep_sr.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
+], ids=["witness-nu", "sweep-sp-Y", "sweep-sr-Y"])
+def test_uncovered_weight_is_a_numerical_domain_fault(config, field, points, tmp_path, capsys):
+    # an uncovered weight exits 2 and says so, as theta of mixed-norm and Y of rate-report do
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg[field] = {"variant": "table", "points": points}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 2
+    lo, hi = sorted(points, key=float)
+    assert f"does not cover ({lo}, {hi}) densely enough" in capsys.readouterr().err
+
+
+def test_witness_unsafe_window_stays_a_config_fault(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "witness_sp.json").read_text())
+    cfg["t_grid"] = [3.0, 4.0, 1e6]
+    path = tmp_path / "unsafe.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 1
+    assert "wrap-around-safe window" in capsys.readouterr().err
+
+
 WITNESS_CONFIGS = {
     "witness-sp": {"nu": {"variant": "table", "points": {"2.0": 1.0, "4.0": 1.0}}},
     "witness-sr": {},

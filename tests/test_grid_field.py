@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from strichartz_gls import (
     INF,
+    SCHRODINGER,
     GaussianSpec,
     GridFunction,
     box_indicator,
@@ -16,6 +18,7 @@ from strichartz_gls import (
     make_grid,
     moment_profile,
     periodic_convolve,
+    propagate,
 )
 from strichartz_gls.spaces import exponent_grid
 
@@ -291,3 +294,52 @@ def test_zero_function_norms():
         lp_norm(z, 0.5)
     with pytest.raises(ValueError):
         moment_profile(z, [0.5, 2.0])
+
+
+# ------------------------------------------------------------ tensor-product fields
+
+@pytest.mark.parametrize("make_f", [
+    lambda: gaussian_sample(make_grid(2, 12.0, 64), GaussianSpec(1.0, 2)),
+    lambda: gaussian_sample(make_grid(3, 12.0, 32), GaussianSpec(1.0 + 0.5j, 3)),
+    lambda: box_indicator(make_grid(3, 12.0, 32), 8),
+    lambda: propagate(gaussian_sample(make_grid(3, 12.0, 32), GaussianSpec(1.0, 3)),
+                      SCHRODINGER, 2.0),
+], ids=["gaussian-d2", "complex-gaussian-d3", "indicator-d3", "propagated-d3"])
+def test_values_are_the_outer_product_of_the_factors(make_f):
+    f = make_f()
+    assert len(f.factors) == f.grid.dim
+    assert np.array_equal(f.values, functools.reduce(np.multiply.outer, f.factors))
+    assert all(not v.flags.writeable for v in f.factors)
+
+
+def test_initial_data_share_their_axis_factors():
+    g = make_grid(3, 12.0, 32)
+    f = gaussian_sample(g, GaussianSpec(1.0, 3))
+    assert f.factors[1] is f.factors[2] and f.factors[0] is not f.factors[1]
+    box = box_indicator(g, 8)
+    assert box.factors[0] is box.factors[1] is box.factors[2]
+    assert box._factor_spectra[0] is box._factor_spectra[2]
+
+
+def test_gaussian_sample_is_the_full_grid_formula():
+    g = make_grid(3, 12.0, 32)
+    x2 = sum(np.meshgrid(*[g.axis_coords() ** 2] * 3, indexing="ij"))
+    for s2 in (1.0, 1.0 + 0.5j):
+        ref = (2.0 * np.pi * s2) ** -1.5 * np.exp(-x2 / (2.0 * s2))
+        got = gaussian_sample(g, GaussianSpec(s2, 3)).values
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_gridfunction_rejects_bad_factors():
+    g = make_grid(2, 16.0, 64)
+    e = np.ones(64)
+    with pytest.raises(ValueError, match="2 arrays of 64"):
+        GridFunction(g, factors=(e,))
+    with pytest.raises(ValueError, match="2 arrays of 64"):
+        GridFunction(g, factors=(e, np.ones(32)))
+    with pytest.raises(ValueError, match="not both"):
+        GridFunction(g, np.ones((64, 64)), factors=(e, e))
+    bad = e.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        GridFunction(g, factors=(e, bad))

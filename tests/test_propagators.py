@@ -8,7 +8,9 @@ from strichartz_gls import (
     INF,
     SCHRODINGER,
     GaussianSpec,
+    GridFunction,
     PsiSpec,
+    box_indicator,
     check_window,
     fractional,
     gaussian_lp_exact,
@@ -23,6 +25,7 @@ from strichartz_gls import (
     sr_witness,
     w_sp_curve,
 )
+from strichartz_gls.propagators import _axis_symbol, _multiplier
 
 
 def _setup(L=40.0, n=1024, sigma2=1.0):
@@ -258,3 +261,94 @@ def test_grid_function_values_are_read_only():
     u = propagate(f, SCHRODINGER, 2.0)
     with pytest.raises(ValueError):
         u.values[0] = 1
+    with pytest.raises(ValueError):
+        u.factors[0][0] = 1
+
+
+# ------------------------------------------------------------ tensor-product fields
+
+PRODUCT_FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional2.0": fractional(2.0)}
+SIGMA2 = {"real": 1.0, "complex": 1.0 + 0.5j}
+
+
+def _initial(data, d, n):
+    g = make_grid(d, 12.0, n)
+    if data == "indicator":
+        return box_indicator(g, n // 4)
+    return gaussian_sample(g, GaussianSpec(SIGMA2[data], d))
+
+
+@pytest.mark.parametrize("data", ["real", "complex", "indicator"])
+@pytest.mark.parametrize("name", sorted(PRODUCT_FLOWS))
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 32)], ids=["d2", "d3"])
+def test_factored_path_matches_full_grid_path(d, n, name, data):
+    f = _initial(data, d, n)
+    assert f.factors is not None
+    u = propagate(f, PRODUCT_FLOWS[name], 1.7)
+    assert u.factors is not None
+    full = propagate(GridFunction(f.grid, f.values), PRODUCT_FLOWS[name], 1.7)
+    assert full.factors is None
+    assert np.max(np.abs(u.values - full.values)) <= 1e-13 * np.max(np.abs(full.values))
+
+
+def test_unfactored_input_and_nonproduct_flow_take_the_full_path():
+    g = make_grid(2, 12.0, 32)
+    f = gaussian_sample(g, GaussianSpec(1.0, 2))
+    h = box_indicator(g, 8)
+    assert (f + h).factors is None
+    assert propagate(f + h, HEAT, 1.0).factors is None
+    # ||xi||^1.5 is not a sum over the axes, so exp(-t ||xi||^1.5) is no product
+    u = propagate(f, fractional(1.5), 1.0)
+    assert u.factors is None
+    ref = propagate(GridFunction(g, f.values), fractional(1.5), 1.0)
+    assert np.array_equal(u.values, ref.values)
+
+
+def test_factored_propagate_takes_no_full_grid_transform(monkeypatch):
+    g = make_grid(3, 16.0, 64)
+    f = gaussian_sample(g, GaussianSpec(1.0, 3))
+    shapes = {"fftn": [], "ifftn": []}
+    for name, seen in shapes.items():
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, _fn=fn, _seen=seen, **kw:
+                            _seen.append(np.shape(a)) or _fn(a, *args, **kw))
+    for t in (1.0, 2.0):
+        propagate(f, SCHRODINGER, t)
+    # amp * e and e, the factor the other two axes share: two forward transforms, taken
+    # once for f, and two inverse transforms per time
+    assert shapes == {"fftn": [(64,)] * 2, "ifftn": [(64,)] * 4}
+
+
+@pytest.mark.parametrize("data", ["real", "complex", "indicator"])
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_one_dimensional_propagate_is_the_full_grid_computation(name, data):
+    # d = 1: the symbol over all N frequencies times fftn(values), then ifftn, bit for bit
+    kind, symbol = SYMBOLS[name]
+    g = make_grid(1, 12.0, 512)
+    f = _initial(data, 1, 512)
+    if data != "indicator":
+        s2 = complex(SIGMA2[data])
+        ref_f = (2.0 * np.pi * s2) ** -0.5 * np.exp(-g.axis_coords() ** 2 / (2.0 * s2))
+        assert np.array_equal(f.values, ref_f)
+    xi2 = (2.0 * np.pi * np.fft.fftfreq(512, d=g.spacing)) ** 2
+    for t in (0.3, 2.5):
+        ref = np.fft.ifftn(symbol(xi2, t) * np.fft.fftn(f.values))
+        assert np.array_equal(propagate(f, kind, t).values, ref)
+
+
+@pytest.mark.parametrize("n", [128, 8192, 65536])
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_mirrored_axis_symbol_is_the_full_symbol(name, n):
+    kind, symbol = SYMBOLS[name]
+    g = make_grid(1, 4096.0, n)
+    xi2 = (2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)) ** 2
+    for t in (0.3, 16.0, 37.7, 256.0):
+        assert np.array_equal(_axis_symbol(g, kind, t), symbol(xi2, t))
+
+
+def test_full_grid_multiplier_is_the_outer_product_of_the_axis_symbol():
+    g = make_grid(3, 12.0, 16)
+    m = _axis_symbol(g, SCHRODINGER, 1.3)
+    assert np.array_equal(_multiplier(g, SCHRODINGER, 1.3),
+                          np.multiply.outer(np.multiply.outer(m, m), m))
+    assert _axis_symbol(g, fractional(1.5), 1.3) is None

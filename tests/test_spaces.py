@@ -25,6 +25,7 @@ from strichartz_gls import (
     zeta_crossover,
     zeta_eval,
 )
+from strichartz_gls import spaces
 from strichartz_gls.spaces import _bounded_sup, _weighted_sup
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -183,6 +184,22 @@ def test_fundamental_monotone_in_delta():
     deltas = np.geomspace(1e-8, 1e4, 25)
     vals = [fundamental_gls(psi, d).value for d in deltas]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("make_psi, builds", [
+    (lambda: PsiSpec.zeta(1.0, 2.0, 1.0, 1.0), 1),
+    (lambda: PsiSpec.table({1.5: 1.0, 3.0: 2.0}), 1),
+    # b = inf: the exponent cap grows with |log delta|, so each delta builds its own grid
+    (lambda: PsiSpec.zeta(1.0, INF, 1.0, -1.0), 7),
+], ids=["zeta-finite-b", "table", "zeta-infinite-b"])
+def test_fundamental_builds_a_finite_b_grid_once(make_psi, builds, monkeypatch):
+    deltas = np.geomspace(1e-6, 1e4, 7)
+    fresh = [fundamental_gls(make_psi(), d).value for d in deltas]
+    grid, calls = spaces.exponent_grid, []
+    monkeypatch.setattr(spaces, "exponent_grid", lambda *a, **k: calls.append(a) or grid(*a, **k))
+    psi = make_psi()
+    assert [fundamental_gls(psi, d).value for d in deltas] == fresh
+    assert len(calls) == builds
 
 
 def test_fundamental_rejects_bad_delta():
