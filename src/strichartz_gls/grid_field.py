@@ -3,7 +3,9 @@
 The grid covers [-L, L)^d with periodic identification and N (a power of
 two) points per axis.  All norms use the rectangle rule, which is exact
 for node-aligned indicators and spectrally accurate for smooth functions
-that decay inside the box.
+that decay inside the box.  A field given by one-axis factors f_j has its
+norms and its finiteness taken from them, never from its N^d values:
+|f|_p^p = h^d prod_j sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|.
 """
 
 from __future__ import annotations
@@ -97,6 +99,32 @@ def _map_shared(fn, arrays) -> tuple:
     return tuple(done[id(a)] for a in arrays)
 
 
+def _bounded_product(factors) -> bool:
+    """Whether each partial product of the factors' maxima of |f_j|, taken in the order
+    _tensor_product multiplies, is below half the largest float (false for a NaN or
+    infinite entry): every entry of the outer product, complex rounding included, is
+    then finite."""
+    bound = 1.0
+    for v in factors:
+        bound *= float(np.abs(v).max())
+        if not bound < np.finfo(float).max / 2:
+            return False
+    return True
+
+
+def _sorted_neg_log(v: np.ndarray) -> tuple:
+    """(m, -log(|v|/m) over the nonzero entries, sorted) with m = max |v|."""
+    a = np.abs(v)
+    m = float(a.max())
+    nl = a[a > 0]
+    nl /= m
+    np.log(nl, out=nl)
+    np.negative(nl, out=nl)
+    nl.sort()
+    nl.flags.writeable = False
+    return m, nl
+
+
 def _tensor_product(factors) -> np.ndarray:
     """factors[0][k_1] * ... * factors[d-1][k_d] at every node: the outer product."""
     out = factors[0]
@@ -115,7 +143,8 @@ class GridFunction:
     A tensor product f(x) = f_1(x_1) ... f_d(x_d) may be given by its
     factors instead of its values: d arrays of N samples, one object
     serving every axis it is passed for.  values is then their outer
-    product, and propagate transforms the factors, not values.
+    product, and propagate transforms the factors, not values.  It is finite
+    if _bounded_product(factors); if not, values is checked node by node.
     """
 
     grid: Grid
@@ -136,7 +165,8 @@ class GridFunction:
         v = _read_only(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not (self.factors is not None and _bounded_product(self.factors)
+                or np.all(np.isfinite(v))):
             raise ValueError("values contain non-finite entries")
         object.__setattr__(self, "values", v)
 
@@ -153,17 +183,9 @@ class GridFunction:
 
     @cached_property
     def _sorted_neg_logs(self) -> tuple:
-        """(m, -log(|f|/m) over the nonzero nodes, sorted) with m = max |f|, taken at
-        first use, so the moment profiles of one function take one log and one sort."""
-        a = np.abs(self.values)
-        m = float(a.max())
-        nl = a[a > 0]
-        nl /= m
-        np.log(nl, out=nl)
-        np.negative(nl, out=nl)
-        nl.sort()
-        nl.flags.writeable = False
-        return m, nl
+        """_sorted_neg_log of each factor, or of values, taken at first use and once per
+        distinct array, so the profiles of one function take one log and one sort each."""
+        return _map_shared(_sorted_neg_log, self.factors or (self.values,))
 
     def _check_same_grid(self, other: "GridFunction"):
         if self.grid != other.grid:
@@ -307,10 +329,25 @@ def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:
     return sums
 
 
+def _power_sum(v: np.ndarray, p: np.ndarray) -> tuple:
+    """(m, [sum((|v|/m) ** p[0])]) with m = max |v|, over every entry of v; the list is
+    empty when p is or when m = 0."""
+    a = np.abs(v)
+    m = float(a.max())
+    if not (p.size and m):
+        return m, []
+    a /= m
+    if p[0] != 1:  # x ** 1.0 is x, and costs as much as any other power
+        a **= p[0]
+    return m, [float(np.sum(a))]
+
+
 def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfile:
     """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid.
 
     The max of |f| is factored out of every finite-p sum to avoid overflow.
+    Max and sums are products over the parts of f, its factors or values
+    alone; a one-part product is the part's own max and sums, bit for bit.
     """
     p = np.asarray(list(p_grid), dtype=float)
     if p.size == 0:
@@ -319,18 +356,16 @@ def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfi
         if not pi >= 1:
             raise ValueError(f"exponent must satisfy p >= 1, got {pi}")
     finite = p[p != INF]
+    arrays = f.factors or (f.values,)
     if finite.size > 1:
-        m, nl = f._sorted_neg_logs
-        sums = _power_sums(nl, finite, f.values.size) if m else []
-    else:  # one power sum over every node
-        a = np.abs(f.values)
-        m = float(a.max())
-        sums = []
-        if finite.size and m:
-            a /= m
-            if finite[0] != 1:  # x ** 1.0 is x, and costs as much as any other power
-                a **= finite[0]
-            sums = [float(np.sum(a))]
+        n = arrays[0].size
+        parts = _map_shared(lambda ml: (ml[0], _power_sums(ml[1], finite, n) if ml[0] else []),
+                            f._sorted_neg_logs)
+    else:  # one power sum over every entry of each part
+        parts = _map_shared(lambda v: _power_sum(v, finite), arrays)
+    m = math.prod(mj for mj, _ in parts)
+    # m = 0 when a part is 0 or every node underflows
+    sums = [math.prod(s) for s in zip(*(sj for _, sj in parts))] if m else []
     out = np.zeros(p.size)
     out[finite.size:] = m
     vol = f.grid.cell_volume

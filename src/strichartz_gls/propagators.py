@@ -15,9 +15,11 @@ m_1(xi_1) ... m_1(xi_d) of one one-axis symbol (in d = 1 every multiplier
 is).  A GridFunction given by one-axis factors (the Gaussian and the box
 indicator are) propagates under such a flow factor by factor,
 ifft(m_1 * fft(f_j)) once per distinct factor, into a factored field, with
-the forward transforms cached on f: no N^d transform is taken.  Every
-other case (fractional orders other than 2 in d >= 2, laplacian_propagate,
-sums of fields, convolutions) multiplies the N^d multiplier into
+the forward transforms cached on f: no N^d transform is taken, and the
+norms of the result are taken from its factors (see grid_field); only its
+values, the outer product of the factors, are N^d.  Every other case
+(fractional orders other than 2 in d >= 2, laplacian_propagate, sums of
+fields, convolutions) multiplies the N^d multiplier into
 GridFunction.spectrum, the cached fftn of f, and takes one inverse fftn,
 in place on the multiplier's buffer when both are complex.
 """

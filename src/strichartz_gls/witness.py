@@ -134,8 +134,7 @@ def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     grid_vals = np.empty(t_grid.size)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        u = propagate(f, SCHRODINGER, float(t))
-        sup_u = lp_norm(u, INF)
+        sup_u = lp_norm(propagate(f, SCHRODINGER, float(t)), INF)
         phi_x = float(t) ** (-float(d))
         grid_vals[i] = float(t) ** (-d / 2.0) * sup_u / (norm_x * phi_x)
         closed_vals[i] = (
@@ -161,8 +160,10 @@ def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:
             raise ValueError("moment law holds for r in (1, inf]")
     f = gaussian_sample(grid, GaussianSpec(1.0, d))
     vals = np.empty((len(r_list), t_grid.size))  # |U_t f|_r, one evolved field at a time
-    for j, u in enumerate(propagate(f, SCHRODINGER, float(t)) for t in t_grid):
+    for j, t in enumerate(t_grid):
+        u = propagate(f, SCHRODINGER, float(t))
         vals[:, j] = [lp_norm(u, float(r)) for r in r_list]
+        del u  # released before the next field is built
     rows = []
     for r, vals_r in zip(r_list, vals):
         fitted = fit_rate(t_grid, vals_r).slope

@@ -343,3 +343,77 @@ def test_gridfunction_rejects_bad_factors():
     bad[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         GridFunction(g, factors=(e, bad))
+    bad[3] = np.inf
+    # (inf + 0j) * (1 + 0j) has the imaginary part inf * 0
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+        GridFunction(g, factors=(bad, e))
+
+
+def _isfinite_shapes(monkeypatch) -> list:
+    """The shape of every array np.isfinite is called on from here on."""
+    shapes = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or isfinite(a, *args, **kw))
+    return shapes
+
+
+def test_overflowing_factor_product_is_rejected(monkeypatch):
+    g = make_grid(2, 16.0, 64)
+    big = np.full(64, 1e200)
+    shapes = _isfinite_shapes(monkeypatch)
+    # the bound fails, and the node-by-node check sees the overflowed outer product
+    with pytest.raises(ValueError, match="values contain non-finite entries"), \
+            np.errstate(over="ignore"):
+        GridFunction(g, factors=(big, big.astype(complex)))
+    assert shapes == [(64, 64)]
+
+
+def test_factor_product_near_the_bound_takes_the_node_check(monkeypatch):
+    g = make_grid(2, 16.0, 64)
+    shapes = _isfinite_shapes(monkeypatch)
+    # 1e150 * 1e150 is below half the largest float: accepted from the factors alone
+    f = GridFunction(g, factors=(np.full(64, 1e150), np.full(64, 1e150)))
+    assert shapes == []
+    # 1e154 * 1e154 = 1e308 is finite but above half the largest float
+    f = GridFunction(g, factors=(np.full(64, 1e154), np.full(64, 1e154)))
+    assert shapes == [(64, 64)]
+    assert np.all(f.values == 1e154 * 1e154)
+
+
+@pytest.mark.parametrize("make_f", [
+    lambda g: gaussian_sample(g, GaussianSpec(1.0, 1)),
+    lambda g: gaussian_sample(g, GaussianSpec(1.0 + 0.5j, 1)),
+    lambda g: box_indicator(g, 100),
+    lambda g: propagate(gaussian_sample(g, GaussianSpec(1.0, 1)), SCHRODINGER, 3.0),
+], ids=["gaussian", "complex-gaussian", "indicator", "propagated"])
+def test_one_dimensional_factored_profile_is_bit_identical(make_f):
+    f = make_f(make_grid(1, 40.0, 2048))
+    assert f.factors is not None
+    full = GridFunction(f.grid, f.values)
+    for p_grid in (np.append(DENSE_P, INF), [1.0], [3.7], [INF]):
+        assert np.array_equal(moment_profile(f, p_grid).values,
+                              moment_profile(full, p_grid).values)
+
+
+def test_underflowed_factored_field_has_the_zero_profile():
+    g = make_grid(2, 16.0, 64)
+    e = gaussian_sample(make_grid(1, 16.0, 64), GaussianSpec(1.0, 1)).values * 1e-170
+    f = GridFunction(g, factors=(e, e))
+    assert not np.any(f.values)  # every node is below 1e-340
+    for p_grid in (np.append(DENSE_P, INF), [2.0], [INF]):
+        assert np.array_equal(moment_profile(f, p_grid).values, np.zeros(len(p_grid)))
+
+
+def test_factored_profile_touches_only_axis_arrays(monkeypatch):
+    f = propagate(gaussian_sample(make_grid(3, 16.0, 64), GaussianSpec(1.0, 3)),
+                  SCHRODINGER, 2.0)
+    sizes = []
+    for name in ("abs", "log"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, *args, _fn=fn, **kw:
+                            sizes.append(np.size(a)) or _fn(a, *args, **kw))
+    for p_grid in (np.append(DENSE_P, INF), [2.0], [INF]):
+        moment_profile(f, p_grid)
+    # |f_j| and the log of its nonzero part, each once per distinct factor and branch
+    assert sizes and max(sizes) <= 64

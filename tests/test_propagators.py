@@ -19,6 +19,7 @@ from strichartz_gls import (
     laplacian_propagate,
     lp_norm,
     make_grid,
+    moment_profile,
     propagate,
     propagate_gaussian_exact,
     safe_time_bound,
@@ -26,6 +27,7 @@ from strichartz_gls import (
     w_sp_curve,
 )
 from strichartz_gls.propagators import _axis_symbol, _multiplier
+from strichartz_gls.spaces import exponent_grid
 
 
 def _setup(L=40.0, n=1024, sigma2=1.0):
@@ -289,6 +291,25 @@ def test_factored_path_matches_full_grid_path(d, n, name, data):
     full = propagate(GridFunction(f.grid, f.values), PRODUCT_FLOWS[name], 1.7)
     assert full.factors is None
     assert np.max(np.abs(u.values - full.values)) <= 1e-13 * np.max(np.abs(full.values))
+
+
+PROFILE_GRIDS = {"dense": np.append(exponent_grid(1.0, 20.0, per_decade=64, min_offset=1e-3),
+                                     INF),
+                 "p1": [1.0], "p3.7": [3.7], "inf": [INF]}
+
+
+@pytest.mark.parametrize("p_name", sorted(PROFILE_GRIDS))
+@pytest.mark.parametrize("data", ["real", "complex", "indicator"])
+@pytest.mark.parametrize("name", sorted(PRODUCT_FLOWS))
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 32)], ids=["d2", "d3"])
+def test_factored_profile_matches_the_node_profile(d, n, name, data, p_name):
+    # the product of the factors' sums against the sums over the same values node by node
+    u = propagate(_initial(data, d, n), PRODUCT_FLOWS[name], 1.7)
+    assert u.factors is not None
+    p_grid = PROFILE_GRIDS[p_name]
+    got = moment_profile(u, p_grid).values
+    ref = moment_profile(GridFunction(u.grid, u.values), p_grid).values
+    assert np.allclose(got, ref, rtol=1e-13, atol=0)
 
 
 def test_unfactored_input_and_nonproduct_flow_take_the_full_path():

@@ -178,3 +178,20 @@ def test_moment_law_holds_one_evolved_field_at_a_time():
 
     # eight more times must not hold eight more complex fields
     assert peak(np.geomspace(3.0, 7.0, 12)) < peak(np.geomspace(3.0, 7.0, 4)) + 0.5 * field_bytes
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, t: sr_witness(t, g),
+    lambda g, t: gaussian_moment_law_check(3, [2.0, 4.0, INF], t, g),
+], ids=["sr_witness", "moment_law"])
+def test_witness_drops_each_evolved_field_before_the_next(run):
+    grid = make_grid(3, 24.0, 64)
+    field_bytes = 16 * 64 ** 3
+    tracemalloc.start()
+    try:
+        run(grid, [2.5, 3.0, 3.5, 3.8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the datum and one evolved field at a time; two evolved fields would reach 3 fields
+    assert peak < 2.5 * field_bytes
