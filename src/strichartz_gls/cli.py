@@ -4,10 +4,14 @@ Usage:
     strichartz-gls run <config.json> [--out DIR]
     strichartz-gls report <DIR>
 
+A run writes {prefix}.csv and {prefix}_summary.json into its output
+directory, and mixed-norm only the summary.  Every CSV row carries a
+provenance tag (grid | closed-form | asymptotic | fit).  Outputs are
+deterministic; re-running a config produces byte-identical files.
+
 Exit codes: 0 success, 1 config or file error, 2 numerical-domain error.
-Outputs are deterministic; re-running a config produces byte-identical
-files.  Every CSV row carries a provenance tag (grid | closed-form |
-asymptotic | fit).
+The experiment runs before anything is written, so a run that exits 1 or
+2 after its config is read writes nothing.
 """
 
 from __future__ import annotations
@@ -136,16 +140,15 @@ def _as_integer(v):
     return int(v) if type(v) is int or type(v) is float and v.is_integer() else None
 
 
+def _fmt(x: float) -> str:
+    """x in full precision; format gives "inf" for an infinite x."""
+    return format(float(x), ".16e")
+
+
 def _plain_name(v):
     """A file name with no directory part."""
     ok = isinstance(v, str) and v not in ("", ".", "..") and not any(c in v for c in "/\\\0")
     return v if ok else None
-
-
-def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    return format(float(x), ".16e")
 
 
 @contextlib.contextmanager
@@ -228,23 +231,27 @@ def parse_kind(cfg: Fields) -> PropagatorKind:
         return fractional(cfg.block("kind").real("alpha"))
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_summary(path: Path, data: dict):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None):
+    """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked
+    against the wrap-around-safe window; the flow is read from the config unless given."""
+    grid = parse_grid(cfg)
+    f, sigma2_real = parse_initial(cfg, grid)
+    psiX, psiY = parse_psi(cfg, "X"), parse_psi(cfg, "Y")
+    t_grid = parse_t_grid(cfg)
+    if kind is None:
+        kind = parse_kind(cfg)
+    with _config_fault():
+        check_window(t_grid, grid, kind, sigma2_real)
+    return f, psiX, psiY, t_grid, kind
 
 
 # ---------------------------------------------------------------- experiments
+#
+# Each runner maps a config to (CSV header or None, CSV rows of strings, summary)
+# and writes nothing; run() writes them once the experiment has finished.
 
 
-def _run_norms(cfg, out, prefix):
+def _run_norms(cfg):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
     if cfg.holds("p_grid", list):
@@ -253,20 +260,15 @@ def _run_norms(cfg, out, prefix):
         block = cfg.block("p_grid")
         p = exponent_grid(block.real("a"), block.real("b"))
     prof = moment_profile(f, p, "grid")
-    _write_csv(
-        out / f"{prefix}.csv",
-        ["p", "value", "provenance"],
-        [[_fmt(pi), _fmt(vi), "grid"] for pi, vi in zip(prof.p_grid, prof.values)],
-    )
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "norms",
+    rows = [[_fmt(pi), _fmt(vi), "grid"] for pi, vi in zip(prof.p_grid, prof.values)]
+    return ["p", "value", "provenance"], rows, {
         "count": int(prof.p_grid.size),
         "min": prof.values.min(),
         "max": prof.values.max(),
-    })
+    }
 
 
-def _run_fundamental(cfg, out, prefix):
+def _run_fundamental(cfg):
     psi = parse_psi(cfg, "psi")
     deltas = cfg.reals("deltas")
     regime = cfg.choice("regime", ("small", "large"), None)
@@ -279,91 +281,67 @@ def _run_fundamental(cfg, out, prefix):
             rows.append([_fmt(delta), _fmt(num.value), _fmt(asy.value), "grid"])
         else:
             rows.append([_fmt(delta), _fmt(num.value), "", "grid"])
-    _write_csv(out / f"{prefix}.csv", ["delta", "numeric", "asymptotic", "provenance"], rows)
-    summary = {"experiment": "fundamental", "deltas": deltas}
+    summary = {"deltas": deltas}
     if ratios:
         summary["num_over_asymptotic"] = ratios
         drift = [abs(ratios[i + 1] / ratios[i] - 1.0) for i in range(len(ratios) - 1)]
         summary["max_consecutive_drift"] = max(drift) if drift else 0.0
         summary["pass"] = bool(all(x < 0.10 for x in drift))
-    _write_summary(out / f"{prefix}_summary.json", summary)
+    return ["delta", "numeric", "asymptotic", "provenance"], rows, summary
 
 
-def _run_propagate(cfg, out, prefix):
+def _run_propagate(cfg):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
     t = cfg.real("t")
-    u = propagate(f, kind, t)
-    flat = u.values.reshape(-1)
-    _write_csv(
-        out / f"{prefix}.csv",
-        ["index", "real", "imag", "provenance"],
-        [[str(i), _fmt(v.real), _fmt(v.imag), "grid"] for i, v in enumerate(flat)],
-    )
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "propagate", "kind": kind.kind, "t": t,
-        "max_abs": float(np.max(np.abs(flat))),
-    })
+    flat = propagate(f, kind, t).values.reshape(-1)
+    rows = [[str(i), _fmt(v.real), _fmt(v.imag), "grid"] for i, v in enumerate(flat)]
+    return ["index", "real", "imag", "provenance"], rows, {
+        "kind": kind.kind, "t": t, "max_abs": float(np.max(np.abs(flat))),
+    }
 
 
-def _run_functional_sweep(cfg, out, prefix):
-    grid = parse_grid(cfg)
-    f, sigma2_real = parse_initial(cfg, grid)
-    psiX = parse_psi(cfg, "X")
-    psiY = parse_psi(cfg, "Y")
-    t_grid = parse_t_grid(cfg)
+def _run_functional_sweep(cfg):
     functional = cfg.choice("functional", ("SP", "SR"))
+    f, psiX, psiY, t_grid, kind = _parse_flow(cfg, None if functional == "SP" else SCHRODINGER)
     if functional == "SP":
-        kind = parse_kind(cfg)
-        params = {"K1": cfg.real("K1", 1.0), "K2": cfg.real("K2", 1.0), "kind": kind}
+        sweep, params = w_sp_curve, {"K1": cfg.real("K1", 1.0), "K2": cfg.real("K2", 1.0),
+                                     "kind": kind}
     else:
-        kind = SCHRODINGER
-        params = {"K": cfg.real("K", 1.0), "normalization": cfg.choice(
+        sweep, params = v_sr_curve, {"K": cfg.real("K", 1.0), "normalization": cfg.choice(
             "sr_normalization", ("definition", "proof"), "definition")}
-    with _config_fault():
-        check_window(t_grid, grid, kind, sigma2_real)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sweep = w_sp_curve if functional == "SP" else v_sr_curve
         curve = sweep(f, psiX, psiY, t_grid, **params)
     for w in caught:
         print(f"WARNING: {w.message}", file=sys.stderr)
     rows = [[_fmt(t), _fmt(v), "0", "", "grid"] for t, v in zip(curve.t_grid, curve.values)]
     rows += [[_fmt(t), "", "1", reason, "grid"] for t, reason in curve.exclusions]
     rows.sort(key=lambda r: float(r[0]))
-    _write_csv(out / f"{prefix}.csv", ["t", "value", "excluded_flag", "reason", "provenance"], rows)
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "functional-sweep",
+    return ["t", "value", "excluded_flag", "reason", "provenance"], rows, {
         "functional": functional,
         "normalization": curve.meta.get("normalization", ""),
         "min": curve.values.min(),
         "max": curve.values.max(),
         "ratio": float(curve.values.max() / curve.values.min()),
         "warnings": [str(w.message) for w in caught],
-    })
+    }
 
 
-def _run_witness(cfg, out, prefix, which: str):
+def _run_witness(cfg):
+    """witness-sp or witness-sr, as the config's experiment field says."""
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
-    if which == "sp":
-        kind = parse_kind(cfg)
-        nu = parse_psi(cfg, "nu")
+    sp = cfg.data["experiment"] == "witness-sp"
+    if sp:
+        kind, nu = parse_kind(cfg), parse_psi(cfg, "nu")
     with _config_fault():
-        if which == "sp":
-            rep = sp_witness(nu, t_grid, grid, kind=kind)
-        else:
-            rep = sr_witness(t_grid, grid)
-    rows = [
-        [_fmt(t), _fmt(g), _fmt(c), _fmt(gap), "grid"]
-        for t, g, c, gap in zip(rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)
-    ]
-    _write_csv(out / f"{prefix}.csv",
-               ["t", "grid_value", "closed_form_value", "rel_gap", "provenance"], rows)
+        rep = sp_witness(nu, t_grid, grid, kind=kind) if sp else sr_witness(t_grid, grid)
+    rows = [[_fmt(t), _fmt(g), _fmt(c), _fmt(gap), "grid"]
+            for t, g, c, gap in zip(rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)]
     floor = rep.closed_form_floor()
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": f"witness-{which}",
+    return ["t", "grid_value", "closed_form_value", "rel_gap", "provenance"], rows, {
         "min": rep.min_value,
         "max": rep.max_value,
         "ratio": rep.ratio,
@@ -371,27 +349,24 @@ def _run_witness(cfg, out, prefix, which: str):
         "max_rel_gap": rep.max_gap,
         "positivity_floor": floor,
         "pass": bool(rep.min_value > floor and rep.ratio < 3.0 and rep.max_gap < GAP_TOL),
-    })
+    }
 
 
-def _run_moment_law(cfg, out, prefix):
+def _run_moment_law(cfg):
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
     r_list = cfg.reals("r_list")
     with _config_fault():
-        rows = gaussian_moment_law_check(grid.dim, r_list, t_grid, grid)
-    _write_csv(out / f"{prefix}.csv",
-               ["r", "fitted_slope", "predicted_slope", "provenance"],
-               [[_fmt(r), _fmt(f), _fmt(p), "fit"] for r, f, p in rows])
-    errs = [abs(f - p) for _, f, p in rows]
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "moment-law",
+        slopes = gaussian_moment_law_check(grid.dim, r_list, t_grid, grid)
+    errs = [abs(f - p) for _, f, p in slopes]
+    rows = [[_fmt(r), _fmt(f), _fmt(p), "fit"] for r, f, p in slopes]
+    return ["r", "fitted_slope", "predicted_slope", "provenance"], rows, {
         "max_abs_slope_error": max(errs),
         "pass": bool(all(e < 0.02 for e in errs)),
-    })
+    }
 
 
-def _run_mixed_norm(cfg, out, prefix):
+def _run_mixed_norm(cfg):
     theta = parse_psi(cfg, "theta")
     curve = cfg.block("curve")
     power = curve.real("power")
@@ -400,24 +375,12 @@ def _run_mixed_norm(cfg, out, prefix):
     t_min = curve.real("t_min", 1e-12)
     count = curve.integer("count", 2048, least=MIN_CURVE_SAMPLES, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
-    y = coef * t ** power
-    value = mixed_norm(t, y, theta)
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "mixed-norm",
-        "value": ("inf" if value == INF else value),
-        "finite": bool(value != INF),
-    })
+    value = mixed_norm(t, coef * t ** power, theta)
+    return None, [], {"value": ("inf" if value == INF else value), "finite": bool(value != INF)}
 
 
-def _run_rate_report(cfg, out, prefix):
-    grid = parse_grid(cfg)
-    f, sigma2_real = parse_initial(cfg, grid)
-    psiX = parse_psi(cfg, "X")
-    psiY = parse_psi(cfg, "Y")
-    t_grid = parse_t_grid(cfg)
-    kind = parse_kind(cfg)
-    with _config_fault():
-        check_window(t_grid, grid, kind, sigma2_real)
+def _run_rate_report(cfg):
+    f, psiX, psiY, t_grid, kind = _parse_flow(cfg)
     with_log = cfg.flag("with_log", True)
     block = cfg.block("predicted")
     source = block.choice("source", PREDICTED_SOURCES)
@@ -432,11 +395,9 @@ def _run_rate_report(cfg, out, prefix):
         raise ValueError("initial data is not admissible in X")
     vals = np.asarray([space_norm(propagate(f, kind, float(t)), psiY) / norm_x for t in t_grid])
     fit = fit_rate(t_grid, vals, with_log=with_log)
-    _write_csv(out / f"{prefix}.csv", ["t", "value", "provenance"],
-               [[_fmt(t), _fmt(v), "grid"] for t, v in zip(t_grid, vals)])
     delta_pct = abs(fit.slope - pred.power) / max(abs(pred.power), 1e-30) * 100.0
-    _write_summary(out / f"{prefix}_summary.json", {
-        "experiment": "rate-report",
+    rows = [[_fmt(t), _fmt(v), "grid"] for t, v in zip(t_grid, vals)]
+    return ["t", "value", "provenance"], rows, {
         "fitted_slope": fit.slope,
         "fitted_log_exponent": fit.log_exponent,
         "predicted_slope": pred.power,
@@ -444,7 +405,7 @@ def _run_rate_report(cfg, out, prefix):
         "slope_delta_pct": delta_pct,
         "residual": fit.residual,
         "pass": bool(delta_pct < 5.0 and abs(fit.log_exponent - pred.log_power) < 0.3),
-    })
+    }
 
 
 _RUNNERS = {
@@ -452,8 +413,8 @@ _RUNNERS = {
     "fundamental": _run_fundamental,
     "propagate": _run_propagate,
     "functional-sweep": _run_functional_sweep,
-    "witness-sp": lambda c, o, p: _run_witness(c, o, p, "sp"),
-    "witness-sr": lambda c, o, p: _run_witness(c, o, p, "sr"),
+    "witness-sp": _run_witness,
+    "witness-sr": _run_witness,
     "moment-law": _run_moment_law,
     "mixed-norm": _run_mixed_norm,
     "rate-report": _run_rate_report,
@@ -473,9 +434,18 @@ def run(config_path: str, out_dir: str | None = None) -> int:
         experiment = cfg.choice("experiment", _RUNNERS)
         prefix = cfg.read("out_prefix", experiment.replace("-", "_"), _plain_name,
                            "a plain file name")
+        header, rows, summary = _RUNNERS[experiment](cfg)
         out = Path(out_dir) if out_dir else Path(config_path).with_suffix("")
         out.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[experiment](cfg, out, prefix)
+        if header is not None:
+            with open(out / f"{prefix}.csv", "w", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(header)
+                w.writerows(rows)
+        with open(out / f"{prefix}_summary.json", "w") as fh:
+            json.dump({"experiment": experiment, **summary}, fh, indent=2, sort_keys=True,
+                      default=str)
+            fh.write("\n")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -241,6 +241,9 @@ def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
         )
     # Mass of the modulus envelope outside the box, per axis.
     v = spec.envelope_variance
+    if v == 0.0:
+        raise ValueError(f"sigma2 = {spec.sigma2} is too small: the envelope variance "
+                         f"|sigma2|^2 / Re(sigma2) underflows to 0")
     tail = grid.dim * math.erfc(L / math.sqrt(2.0 * v))
     if tail > TAIL_MASS_TOL:
         raise ValueError(f"truncated Gaussian mass {tail:.3g} exceeds {TAIL_MASS_TOL}")
@@ -297,17 +300,6 @@ class MomentProfile:
             raise ValueError("moment values must be nonnegative")
         object.__setattr__(self, "p_grid", p)
         object.__setattr__(self, "values", v)
-
-    def value_at(self, p: float) -> float:
-        """h at an exponent that must be (nearly) a grid point."""
-        i = int(np.argmin(np.abs(self.p_grid - p))) if p != INF else -1
-        if p == INF:
-            if self.p_grid[-1] != INF:
-                raise ValueError("profile does not contain p = inf")
-            return float(self.values[-1])
-        if not math.isclose(self.p_grid[i], p, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(f"exponent {p} not in profile grid")
-        return float(self.values[i])
 
 
 def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:

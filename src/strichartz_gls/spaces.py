@@ -259,12 +259,17 @@ def _check_covered(psi: PsiSpec):
 
 
 def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
-    """sup over sampled p of h(p)/psi(p); h(s) for the degenerate variant.
+    """sup over sampled p of h(p)/psi(p); h(s) for the degenerate variant, which
+    must be (nearly) a profile exponent.
 
     Returns math.inf as a distinguished value when some ratio is infinite.
     """
     if psi.variant == "degenerate":
-        return profile.value_at(psi.s)
+        p = profile.p_grid
+        i = p.size - 1 if psi.s == INF else int(np.argmin(np.abs(p - psi.s)))
+        if not math.isclose(p[i], psi.s, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValueError(f"exponent {psi.s} not in profile grid")
+        return _weighted_sup(profile.values[i:i + 1], np.ones(1))
     inside = (profile.p_grid > psi.a) & (profile.p_grid < psi.b)
     p_in = profile.p_grid[inside]
     _check_coverage(p_in, psi.a, psi.b)

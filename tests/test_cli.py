@@ -20,6 +20,12 @@ def _run(cfg_path, out_dir):
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_configs_run_clean(cfg, tmp_path):
     assert _run(cfg, tmp_path / cfg.stem) == 0
+    data = json.loads(cfg.read_text())
+    prefix = data.get("out_prefix", data["experiment"].replace("-", "_"))
+    written = {p.name for p in (tmp_path / cfg.stem).iterdir()}
+    # one CSV and one summary per run; mixed-norm has no CSV
+    csv = set() if data["experiment"] == "mixed-norm" else {f"{prefix}.csv"}
+    assert written == csv | {f"{prefix}_summary.json"}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -94,6 +100,32 @@ def test_unsafe_window_exit_code(tmp_path, capsys):
     }))
     assert run(str(bad), str(tmp_path / "out")) == 1
     assert "safe" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, change, code", [
+    ("witness_sp", {"grid": {"L": 200.0}}, 1),
+    ("mixed_norm", {"theta": {"variant": "table", "points": {"1.0": 1.0, "1.01": 1.0}}}, 2),
+], ids=["missing-grid.N", "uncovered-theta"])
+def test_failed_run_writes_nothing(config, change, code, tmp_path):
+    cfg = {**json.loads((CONFIG_DIR / f"{config}.json").read_text()), **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == code
+    assert not (tmp_path / "out").exists()
+    assert run(str(path)) == code  # the default output directory, beside the config
+    assert {p.name for p in tmp_path.iterdir()} == {"bad.json"}
+
+
+@pytest.mark.parametrize("sigma2, code", [(1e-170, 2), (1e-300, 2), (1e-150, 0)])
+def test_gaussian_underflow_names_sigma2(sigma2, code, tmp_path, capsys):
+    # below about 1e-162 the envelope variance |sigma2|^2 / Re(sigma2) underflows to 0
+    cfg = json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())
+    cfg.update(d=3, grid={"L": 32.0, "N": 64}, initial={"type": "gaussian", "sigma2": sigma2})
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert ("numerical-domain error" in err and "sigma2" in err) if code else not err
 
 
 def test_invalid_json_exit_code(tmp_path, capsys):
@@ -318,7 +350,7 @@ def test_config_fault_names_dotted_field(config, path, value, field, tmp_path, c
     err = capsys.readouterr().err
     assert "config error" in err
     assert re.search(rf"(?<![\w.]){re.escape(field)}(?![\w.])", err), err
-    assert {p.name for p in tmp_path.iterdir()} <= {"bad.json", "out"}
+    assert {p.name for p in tmp_path.iterdir()} == {"bad.json"}
 
 
 def test_zeta_endpoint_finer_than_float_spacing(tmp_path):

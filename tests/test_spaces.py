@@ -8,6 +8,7 @@ from strichartz_gls import (
     INF,
     GaussianSpec,
     GridFunction,
+    MomentProfile,
     PsiSpec,
     ZetaParams,
     box_indicator,
@@ -133,6 +134,33 @@ def test_gls_norm_degenerate_matches_lp():
     f = gaussian_sample(g, GaussianSpec(1.0, 1))
     psi = PsiSpec.degenerate(2.0)
     assert space_norm(f, psi) == pytest.approx((4 * math.pi) ** -0.25, rel=1e-12)
+
+
+def test_gls_norm_degenerate_is_the_profile_entry_bit_for_bit():
+    g = make_grid(1, 40.0, 1024)
+    prof = moment_profile(gaussian_sample(g, GaussianSpec(1.0, 1)), [1.0, 2.0, 3.5, 8.0])
+    for p, h in zip(prof.p_grid, prof.values):
+        assert gls_norm(prof, PsiSpec.degenerate(float(p))).hex() == float(h).hex()
+    # an exponent within 1e-12 of a grid point reads that point
+    assert gls_norm(prof, PsiSpec.degenerate(3.5 * (1 + 1e-13))) == prof.values[2]
+    zero = MomentProfile(np.array([2.0, 4.0]), np.zeros(2))
+    assert gls_norm(zero, PsiSpec.degenerate(4.0)) == 0.0
+
+
+def test_gls_norm_degenerate_rejects_an_absent_exponent():
+    prof = MomentProfile(np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 0.25]))
+    with pytest.raises(ValueError, match="exponent 3.0 not in profile grid"):
+        gls_norm(prof, PsiSpec.degenerate(3.0))
+    with pytest.raises(ValueError):  # no inf entry
+        gls_norm(prof, PsiSpec.degenerate(INF))
+
+
+def test_gls_norm_degenerate_at_inf_reads_the_inf_entry():
+    prof = MomentProfile(np.array([1.0, 2.0, INF]), np.array([1.0, 0.5, 0.125]))
+    assert gls_norm(prof, PsiSpec.degenerate(INF)) == 0.125
+    g = make_grid(1, 40.0, 1024)
+    f = gaussian_sample(g, GaussianSpec(1.0, 1))
+    assert space_norm(f, PsiSpec.degenerate(INF)) == moment_profile(f, [INF]).values[0]
 
 
 def test_gls_norm_scaling_axiom():
