@@ -19,15 +19,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .functionals import (
     MIN_CURVE_SAMPLES,
+    MIN_FIT_SAMPLES,
     PREDICTED_SOURCES,
     fit_rate,
     mixed_norm,
@@ -140,9 +143,21 @@ def _as_integer(v):
     return int(v) if type(v) is int or type(v) is float and v.is_integer() else None
 
 
-def _fmt(x: float) -> str:
-    """x in full precision; format gives "inf" for an infinite x."""
-    return format(float(x), ".16e")
+def _fmt(x) -> list:
+    """Each entry of x in full precision, as format(float(x_i), ".16e") writes it."""
+    return list(map("{:.16e}".format, np.asarray(x, dtype=float).tolist()))
+
+
+def _csv_text(rows) -> str:
+    """What csv.writer(lineterminator="\n") writes for rows: the rows joined by commas,
+    unless a field holds a comma, a quote, CR or LF, or a row is one empty field."""
+    text = "\n".join(map(",".join, rows)) + "\n"
+    # a row has len(row) - 1 commas and one LF, unless a field holds one
+    if (text.count(",") + text.count("\n") == sum(map(len, rows)) and '"' not in text
+            and "\r" not in text and "\n\n" not in "\n" + text):
+        return text
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _plain_name(v):
@@ -231,17 +246,24 @@ def parse_kind(cfg: Fields) -> PropagatorKind:
         return fractional(cfg.block("kind").real("alpha"))
 
 
-def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None):
-    """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked
-    against the wrap-around-safe window; the flow is read from the config unless given."""
+def _check_times(t_grid, grid, kind: PropagatorKind, least: int, sigma2_real=1.0):
+    """Check t_grid against the wrap-around-safe window, then for at least ``least`` times."""
+    with _config_fault():
+        check_window(t_grid, grid, kind, sigma2_real)
+    if t_grid.size < least:
+        raise ConfigError(f"field t_grid must hold at least {least} times, got {t_grid.size}")
+
+
+def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None, least: int = 1):
+    """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked by
+    _check_times; the flow is read from the config unless given."""
     grid = parse_grid(cfg)
     f, sigma2_real = parse_initial(cfg, grid)
     psiX, psiY = parse_psi(cfg, "X"), parse_psi(cfg, "Y")
     t_grid = parse_t_grid(cfg)
     if kind is None:
         kind = parse_kind(cfg)
-    with _config_fault():
-        check_window(t_grid, grid, kind, sigma2_real)
+    _check_times(t_grid, grid, kind, least, sigma2_real)
     return f, psiX, psiY, t_grid, kind
 
 
@@ -260,7 +282,7 @@ def _run_norms(cfg):
         block = cfg.block("p_grid")
         p = exponent_grid(block.real("a"), block.real("b"))
     prof = moment_profile(f, p, "grid")
-    rows = [[_fmt(pi), _fmt(vi), "grid"] for pi, vi in zip(prof.p_grid, prof.values)]
+    rows = list(zip(_fmt(prof.p_grid), _fmt(prof.values), repeat("grid")))
     return ["p", "value", "provenance"], rows, {
         "count": int(prof.p_grid.size),
         "min": prof.values.min(),
@@ -272,15 +294,13 @@ def _run_fundamental(cfg):
     psi = parse_psi(cfg, "psi")
     deltas = cfg.reals("deltas")
     regime = cfg.choice("regime", ("small", "large"), None)
-    rows, ratios = [], []
+    nums, asys, ratios = [], [], []
     for delta in deltas:
-        num = fundamental_gls(psi, delta)
+        nums.append(fundamental_gls(psi, delta).value)
         if regime and psi.variant == "zeta":
-            asy = fundamental_asymptotic(psi.zeta_params, delta, regime)
-            ratios.append(num.value / asy.value)
-            rows.append([_fmt(delta), _fmt(num.value), _fmt(asy.value), "grid"])
-        else:
-            rows.append([_fmt(delta), _fmt(num.value), "", "grid"])
+            asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime).value)
+            ratios.append(nums[-1] / asys[-1])
+    rows = list(zip(_fmt(deltas), _fmt(nums), _fmt(asys) if asys else repeat(""), repeat("grid")))
     summary = {"deltas": deltas}
     if ratios:
         summary["num_over_asymptotic"] = ratios
@@ -296,7 +316,7 @@ def _run_propagate(cfg):
     kind = parse_kind(cfg)
     t = cfg.real("t")
     flat = propagate(f, kind, t).values.reshape(-1)
-    rows = [[str(i), _fmt(v.real), _fmt(v.imag), "grid"] for i, v in enumerate(flat)]
+    rows = list(zip(map(str, range(flat.size)), _fmt(flat.real), _fmt(flat.imag), repeat("grid")))
     return ["index", "real", "imag", "provenance"], rows, {
         "kind": kind.kind, "t": t, "max_abs": float(np.max(np.abs(flat))),
     }
@@ -316,8 +336,8 @@ def _run_functional_sweep(cfg):
         curve = sweep(f, psiX, psiY, t_grid, **params)
     for w in caught:
         print(f"WARNING: {w.message}", file=sys.stderr)
-    rows = [[_fmt(t), _fmt(v), "0", "", "grid"] for t, v in zip(curve.t_grid, curve.values)]
-    rows += [[_fmt(t), "", "1", reason, "grid"] for t, reason in curve.exclusions]
+    rows = list(zip(_fmt(curve.t_grid), _fmt(curve.values), *map(repeat, ("0", "", "grid"))))
+    rows += [(f"{t:.16e}", "", "1", reason, "grid") for t, reason in curve.exclusions]
     rows.sort(key=lambda r: float(r[0]))
     return ["t", "value", "excluded_flag", "reason", "provenance"], rows, {
         "functional": functional,
@@ -334,12 +354,12 @@ def _run_witness(cfg):
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
     sp = cfg.data["experiment"] == "witness-sp"
-    if sp:
-        kind, nu = parse_kind(cfg), parse_psi(cfg, "nu")
+    kind, nu = (parse_kind(cfg), parse_psi(cfg, "nu")) if sp else (SCHRODINGER, None)
+    _check_times(t_grid, grid, kind, MIN_FIT_SAMPLES)
     with _config_fault():
         rep = sp_witness(nu, t_grid, grid, kind=kind) if sp else sr_witness(t_grid, grid)
-    rows = [[_fmt(t), _fmt(g), _fmt(c), _fmt(gap), "grid"]
-            for t, g, c, gap in zip(rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)]
+    rows = list(zip(*map(_fmt, (rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)),
+                    repeat("grid")))
     floor = rep.closed_form_floor()
     return ["t", "grid_value", "closed_form_value", "rel_gap", "provenance"], rows, {
         "min": rep.min_value,
@@ -356,10 +376,11 @@ def _run_moment_law(cfg):
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
     r_list = cfg.reals("r_list")
+    _check_times(t_grid, grid, SCHRODINGER, MIN_FIT_SAMPLES)
     with _config_fault():
         slopes = gaussian_moment_law_check(grid.dim, r_list, t_grid, grid)
     errs = [abs(f - p) for _, f, p in slopes]
-    rows = [[_fmt(r), _fmt(f), _fmt(p), "fit"] for r, f, p in slopes]
+    rows = list(zip(*map(_fmt, zip(*slopes)), repeat("fit")))
     return ["r", "fitted_slope", "predicted_slope", "provenance"], rows, {
         "max_abs_slope_error": max(errs),
         "pass": bool(all(e < 0.02 for e in errs)),
@@ -380,7 +401,7 @@ def _run_mixed_norm(cfg):
 
 
 def _run_rate_report(cfg):
-    f, psiX, psiY, t_grid, kind = _parse_flow(cfg)
+    f, psiX, psiY, t_grid, kind = _parse_flow(cfg, least=MIN_FIT_SAMPLES)
     with_log = cfg.flag("with_log", True)
     block = cfg.block("predicted")
     source = block.choice("source", PREDICTED_SOURCES)
@@ -396,7 +417,7 @@ def _run_rate_report(cfg):
     vals = np.asarray([space_norm(propagate(f, kind, float(t)), psiY) / norm_x for t in t_grid])
     fit = fit_rate(t_grid, vals, with_log=with_log)
     delta_pct = abs(fit.slope - pred.power) / max(abs(pred.power), 1e-30) * 100.0
-    rows = [[_fmt(t), _fmt(v), "grid"] for t, v in zip(t_grid, vals)]
+    rows = list(zip(_fmt(t_grid), _fmt(vals), repeat("grid")))
     return ["t", "value", "provenance"], rows, {
         "fitted_slope": fit.slope,
         "fitted_log_exponent": fit.log_exponent,
@@ -438,14 +459,9 @@ def run(config_path: str, out_dir: str | None = None) -> int:
         out = Path(out_dir) if out_dir else Path(config_path).with_suffix("")
         out.mkdir(parents=True, exist_ok=True)
         if header is not None:
-            with open(out / f"{prefix}.csv", "w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(header)
-                w.writerows(rows)
-        with open(out / f"{prefix}_summary.json", "w") as fh:
-            json.dump({"experiment": experiment, **summary}, fh, indent=2, sort_keys=True,
-                      default=str)
-            fh.write("\n")
+            (out / f"{prefix}.csv").write_text(_csv_text([header, *rows]), newline="")
+        (out / f"{prefix}_summary.json").write_text(json.dumps(
+            {"experiment": experiment, **summary}, indent=2, sort_keys=True, default=str) + "\n")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

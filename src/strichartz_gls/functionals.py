@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 MIN_CURVE_SAMPLES = 8  # mixed_norm's least number of time samples
+MIN_FIT_SAMPLES = 4    # fit_rate's least number of samples
 PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fractional-laplacian",
                      "heat-lp", "schrodinger-lp")
 
@@ -338,8 +339,8 @@ def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:
     """Fit log y against {1, log t} or {1, log t, log log t}."""
     t = np.asarray(t_grid, dtype=float)
     y = np.asarray(values, dtype=float)
-    if t.size < 4:
-        raise ValueError("rate fit needs at least 4 samples")
+    if t.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"rate fit needs at least {MIN_FIT_SAMPLES} samples")
     if np.any(y <= 0):
         raise ValueError("rate fit requires positive values")
     lt = np.log(t)

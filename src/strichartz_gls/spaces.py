@@ -202,14 +202,16 @@ class PsiSpec:
         p.flags.writeable = w.flags.writeable = False
         return p, w
 
-    @cached_property
-    def _fundamental_samples(self) -> tuple:
-        """(exponents, log psi) that fundamental_gls samples for a finite b, which do not
-        depend on delta, built at first use and kept read-only."""
-        p = exponent_grid(self.a, self.b, per_decade=64, min_offset=1e-12)
-        log_w = np.log(self.psi(p))
-        p.flags.writeable = log_w.flags.writeable = False
-        return p, log_w
+    def _fundamental_samples(self, p_cap: Optional[float]) -> tuple:
+        """(exponents, log psi) that fundamental_gls samples up to p_cap (None for a finite
+        b), kept read-only for the last cap asked for, so one grid at most stays alive."""
+        cached = self.__dict__.get("_fundamental_cache")
+        if cached is None or cached[0] != p_cap:
+            p = exponent_grid(self.a, self.b, per_decade=64, min_offset=1e-12, p_cap=p_cap)
+            log_w = np.log(self.psi(p))
+            p.flags.writeable = log_w.flags.writeable = False
+            cached = self.__dict__["_fundamental_cache"] = (p_cap, p, log_w)
+        return cached[1:]
 
 
 def exponent_grid(
@@ -369,12 +371,8 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> FundamentalValue:
     logd = math.log(delta)
     log_obj = lambda p: logd / p - math.log(psi.psi(p))
 
-    if psi.b == INF:  # the exponents reach further for a delta further from 1
-        p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0))
-        grid = exponent_grid(psi.a, psi.b, per_decade=64, min_offset=1e-12, p_cap=p_cap)
-        log_psi = np.log(psi.psi(grid))
-    else:
-        grid, log_psi = psi._fundamental_samples
+    p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0)) if psi.b == INF else None
+    grid, log_psi = psi._fundamental_samples(p_cap)
     # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
     vals = logd / grid - log_psi
     i = int(np.argmax(vals))

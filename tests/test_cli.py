@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from strichartz_gls import cli
+from strichartz_gls import cli, functionals, witness
 from strichartz_gls.cli import main, report, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -253,6 +256,34 @@ def test_witness_time_at_most_two_exit_code(experiment, tmp_path, capsys):
     assert "t_grid" in err
 
 
+@pytest.mark.parametrize("form", ["list", "count"])
+@pytest.mark.parametrize("config", ["rate_report", "witness_sp", "witness_sr", "moment_law"])
+def test_rate_fit_needs_four_times_before_any_propagation(config, form, tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    times = cli.parse_t_grid(cli.Fields(cfg))[:3].tolist()
+    cfg["t_grid"] = times if form == "list" else {"start": times[0], "stop": times[-1],
+                                                  "count": 3}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    propagations = []
+    for module in (cli, witness, functionals):
+        monkeypatch.setattr(module, "propagate", lambda *a, **k: propagations.append(a))
+    assert _run(path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "t_grid" in err and "at least 4 times" in err
+    assert propagations == []
+
+
+def test_functional_sweep_takes_one_time(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "functional_sweep_sp.json").read_text())
+    cfg["t_grid"] = [16.0]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 0
+    assert len((tmp_path / "out" / "functional_sweep_sp.csv").read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("config, field, value", [
     ("moment_law", "r_list", 5),
     ("moment_law", "r_list", ["abc"]),
@@ -394,3 +425,58 @@ def test_report_bad_summary_exits_1(text, tmp_path, capsys):
     (tmp_path / "x_summary.json").write_text(text)
     assert report(str(tmp_path)) == 1
     assert "x_summary.json" in capsys.readouterr().err
+
+
+def _stdlib_csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "x"', "cr\rx", "lf\nx", "", "inf",
+                                   "-0.0000000000000000e+00", "\r\n", ","])
+def test_csv_text_quotes_as_the_stdlib(field):
+    for rows in ([["t", "value", "reason"], ["1.0e+00", field, "grid"]],
+                 [["t", "reason"], [field, field], ["2.0e+00", "x"]],
+                 [["t"], [field]], [[field], ["x"]]):
+        assert cli._csv_text(rows) == _stdlib_csv(rows)
+
+
+def test_csv_text_joins_plain_rows():
+    rows = [("index", "real"), *zip(map(str, range(5)), cli._fmt(np.linspace(-1, 1, 5)))]
+    assert cli._csv_text(rows) == _stdlib_csv(rows)
+    assert cli._csv_text([[""], ["x", ""]]) == _stdlib_csv([[""], ["x", ""]]) == '""\nx,\n'
+
+
+def test_fmt_writes_what_format_writes():
+    values = [math.inf, -math.inf, -0.0, 5e-324, 1.7e308, 1.0 / 3.0, 1]
+    expected = [format(float(x), ".16e") for x in values]
+    assert cli._fmt(values) == expected
+    assert cli._fmt(np.array(values)) == expected
+    assert expected[:3] == ["inf", "-inf", "-0.0000000000000000e+00"]
+
+
+def _excluded_time_sweep(tmp_path) -> Path:
+    cfg = json.loads((CONFIG_DIR / "functional_sweep_sr.json").read_text())
+    cfg["t_grid"] = [1.5, 16.0, 64.0]  # 1.5 is excluded: t must exceed 2
+    path = tmp_path / "excluded.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS + ["excluded-time"],
+                         ids=lambda p: getattr(p, "stem", p))
+def test_artifacts_are_what_csv_and_json_write(cfg, tmp_path):
+    path = _excluded_time_sweep(tmp_path) if cfg == "excluded-time" else cfg
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    for f in out.iterdir():
+        text = f.read_bytes().decode()
+        if f.suffix == ".csv":
+            assert text == _stdlib_csv(csv.reader(io.StringIO(text, newline="")))
+        else:
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if cfg == "excluded-time":
+        row = (out / "functional_sweep_sr.csv").read_text().splitlines()[1]
+        reason = '"functionals are defined for t > 2, got t=1.5"'
+        assert row == f"1.5000000000000000e+00,,1,{reason},grid"
