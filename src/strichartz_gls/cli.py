@@ -149,10 +149,10 @@ def _fmt(x) -> list:
 
 
 def _csv_text(rows) -> str:
-    """What csv.writer(lineterminator="\n") writes for rows: the rows joined by commas,
-    unless a field holds a comma, a quote, CR or LF, or a row is one empty field."""
+    """The text csv.writer(lineterminator="\\n") writes for rows: rows of plain fields, the
+    runners' numbers and tags, are joined directly; otherwise csv.writer writes them all."""
     text = "\n".join(map(",".join, rows)) + "\n"
-    # a row has len(row) - 1 commas and one LF, unless a field holds one
+    # the join puts len(row) - 1 commas and one LF in each row, so any more are in a field
     if (text.count(",") + text.count("\n") == sum(map(len, rows)) and '"' not in text
             and "\r" not in text and "\n\n" not in "\n" + text):
         return text
@@ -337,7 +337,7 @@ def _run_functional_sweep(cfg):
     for w in caught:
         print(f"WARNING: {w.message}", file=sys.stderr)
     rows = list(zip(_fmt(curve.t_grid), _fmt(curve.values), *map(repeat, ("0", "", "grid"))))
-    rows += [(f"{t:.16e}", "", "1", reason, "grid") for t, reason in curve.exclusions]
+    rows += [(*_fmt([t]), "", "1", reason, "grid") for t, reason in curve.exclusions]
     rows.sort(key=lambda r: float(r[0]))
     return ["t", "value", "excluded_flag", "reason", "provenance"], rows, {
         "functional": functional,

@@ -27,8 +27,25 @@ def test_shipped_configs_run_clean(cfg, tmp_path):
     prefix = data.get("out_prefix", data["experiment"].replace("-", "_"))
     written = {p.name for p in (tmp_path / cfg.stem).iterdir()}
     # one CSV and one summary per run; mixed-norm has no CSV
-    csv = set() if data["experiment"] == "mixed-norm" else {f"{prefix}.csv"}
-    assert written == csv | {f"{prefix}_summary.json"}
+    csv_file = set() if data["experiment"] == "mixed-norm" else {f"{prefix}.csv"}
+    assert written == csv_file | {f"{prefix}_summary.json"}
+    _assert_stdlib_bytes(tmp_path / cfg.stem)
+
+
+def _stdlib_csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _assert_stdlib_bytes(out):
+    """Each CSV is what csv.writer writes for its own parse, each summary what json.dumps does."""
+    for f in out.iterdir():
+        text = f.read_bytes().decode()
+        if f.suffix == ".csv":
+            assert text == _stdlib_csv(csv.reader(io.StringIO(text, newline="")))
+        else:
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -427,12 +444,6 @@ def test_report_bad_summary_exits_1(text, tmp_path, capsys):
     assert "x_summary.json" in capsys.readouterr().err
 
 
-def _stdlib_csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 @pytest.mark.parametrize("field", ["a,b", 'say "x"', "cr\rx", "lf\nx", "", "inf",
                                    "-0.0000000000000000e+00", "\r\n", ","])
 def test_csv_text_quotes_as_the_stdlib(field):
@@ -464,19 +475,10 @@ def _excluded_time_sweep(tmp_path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("cfg", ALL_CONFIGS + ["excluded-time"],
-                         ids=lambda p: getattr(p, "stem", p))
-def test_artifacts_are_what_csv_and_json_write(cfg, tmp_path):
-    path = _excluded_time_sweep(tmp_path) if cfg == "excluded-time" else cfg
+def test_excluded_time_reason_is_quoted(tmp_path):
     out = tmp_path / "out"
-    assert _run(path, out) == 0
-    for f in out.iterdir():
-        text = f.read_bytes().decode()
-        if f.suffix == ".csv":
-            assert text == _stdlib_csv(csv.reader(io.StringIO(text, newline="")))
-        else:
-            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-    if cfg == "excluded-time":
-        row = (out / "functional_sweep_sr.csv").read_text().splitlines()[1]
-        reason = '"functionals are defined for t > 2, got t=1.5"'
-        assert row == f"1.5000000000000000e+00,,1,{reason},grid"
+    assert _run(_excluded_time_sweep(tmp_path), out) == 0
+    _assert_stdlib_bytes(out)
+    row = (out / "functional_sweep_sr.csv").read_text().splitlines()[1]
+    reason = '"functionals are defined for t > 2, got t=1.5"'
+    assert row == f"1.5000000000000000e+00,,1,{reason},grid"
