@@ -104,6 +104,10 @@ class Fields:
     def real(self, key, default=_MISSING) -> float:
         return self.read(key, default, _as_real, 'a number or "inf"')
 
+    def positive(self, key, default=_MISSING) -> float:
+        return self.read(key, default, lambda v: x if (x := _as_real(v)) and 0 < x < INF else None,
+                         "a positive finite number")
+
     def integer(self, key, default=_MISSING, least=None, cap=None) -> int:
         n = self.read(key, default, _as_integer, "an integer")
         if least is not None and n < least:
@@ -326,10 +330,10 @@ def _run_functional_sweep(cfg):
     functional = cfg.choice("functional", ("SP", "SR"))
     f, psiX, psiY, t_grid, kind = _parse_flow(cfg, None if functional == "SP" else SCHRODINGER)
     if functional == "SP":
-        sweep, params = w_sp_curve, {"K1": cfg.real("K1", 1.0), "K2": cfg.real("K2", 1.0),
-                                     "kind": kind}
+        sweep, params = w_sp_curve, {"K1": cfg.positive("K1", 1.0),
+                                     "K2": cfg.positive("K2", 1.0), "kind": kind}
     else:
-        sweep, params = v_sr_curve, {"K": cfg.real("K", 1.0), "normalization": cfg.choice(
+        sweep, params = v_sr_curve, {"K": cfg.positive("K", 1.0), "normalization": cfg.choice(
             "sr_normalization", ("definition", "proof"), "definition")}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -341,7 +345,7 @@ def _run_functional_sweep(cfg):
     rows.sort(key=lambda r: float(r[0]))
     return ["t", "value", "excluded_flag", "reason", "provenance"], rows, {
         "functional": functional,
-        "normalization": curve.meta.get("normalization", ""),
+        "normalization": params.get("normalization", ""),
         "min": curve.values.min(),
         "max": curve.values.max(),
         "ratio": float(curve.values.max() / curve.values.min()),

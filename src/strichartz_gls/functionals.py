@@ -10,10 +10,9 @@ alternative phi(X, t^(d/2)) normalization.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,38 +55,46 @@ def space_norm(f: GridFunction, psi: PsiSpec) -> float:
     return _profile_sup(f, psi)
 
 
-def _check_input(f: GridFunction, t: float):
-    if f.is_zero():
-        raise ValueError("zero initial data is not admissible for ratio functionals")
+def _check_time(t: float):
     if not t > 2:
         raise ValueError(f"functionals are defined for t > 2, got t={t}")
 
 
-def _x_norm(f: GridFunction, psiX: PsiSpec):
-    """||f||_X as a function that takes the norm at its first call only.
-
-    The norm does not depend on t, so a curve shares one of these across its
-    samples; each call raises again when the norm is infinite or zero.
-    """
-    norm = functools.cache(lambda: space_norm(f, psiX))
-
-    def admissible() -> float:
-        norm_x = norm()
-        if norm_x == INF:
-            raise ValueError("f is not in X (infinite norm)")
-        if norm_x == 0.0:
-            raise ValueError("f has zero norm in X")
-        return norm_x
-
-    return admissible
+def _admissible_x_norm(f: GridFunction, psiX: PsiSpec) -> float:
+    """||f||_X, which must be finite and nonzero for a ratio functional."""
+    norm_x = space_norm(f, psiX)
+    if norm_x == INF:
+        raise ValueError("f is not in X (infinite norm)")
+    if norm_x == 0.0:
+        raise ValueError("f has zero norm in X")
+    return norm_x
 
 
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
     if max(psiX.a, psiX.b) > min(psiY.a, psiY.b):
         warnings.warn(
             "exponent supports overlap: msupp(X) is not below msupp(Y)",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _w_sp_at(f, psiX, psiY, K1, K2, kind):
+    """W_SP as a function of (t, ||f||_X), once K1, K2 and kind are checked and (X, Y)
+    warned about."""
+    if not (0 < K1 < INF and 0 < K2 < INF):
+        raise ValueError("constants K1, K2 must be positive and finite")
+    if kind.kind == "schrodinger":
+        raise ValueError("use v_sr for the dispersive group")
+    _warn_overlap(psiX, psiY)
+    expo = f.grid.dim / 2.0 if kind.kind == "heat" else f.grid.dim / kind.alpha
+
+    def at(t: float, norm_x: float) -> float:
+        norm_y = _profile_sup(propagate(f, kind, t), psiY)
+        phi_y = fundamental_gls(psiY, K1 * t ** expo).value
+        phi_x = fundamental_gls(psiX, K2 * t ** expo).value
+        return (norm_y / phi_y) / (norm_x / phi_x)
+
+    return at
 
 
 def w_sp(
@@ -104,24 +111,30 @@ def w_sp(
     [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
     e = d/2 for heat and d/alpha for the fractional flow.
     """
-    return _w_sp(f, psiX, psiY, t, K1, K2, kind, _x_norm(f, psiX))
+    _check_time(t)
+    at = _w_sp_at(f, psiX, psiY, K1, K2, kind)
+    return at(t, _admissible_x_norm(f, psiX))
 
 
-def _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm) -> float:
-    _check_input(f, t)
-    if not (K1 > 0 and K2 > 0):
-        raise ValueError("constants K1, K2 must be positive")
-    if kind.kind == "schrodinger":
-        raise ValueError("use v_sr for the dispersive group")
+def _v_sr_at(f, psiX, psiY, K, normalization):
+    """V_SR as a function of (t, ||f||_X), once K and the normalization are checked and
+    (X, Y) warned about."""
+    if not 0 < K < INF:
+        raise ValueError("constant K must be positive and finite")
+    if normalization not in ("definition", "proof"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     _warn_overlap(psiX, psiY)
+    if psiY.a < 2:
+        warnings.warn("dispersive regime expects the Y support to start at >= 2", stacklevel=3)
     d = f.grid.dim
-    expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
-    norm_x = x_norm()
-    u = propagate(f, kind, t)
-    norm_y = _profile_sup(u, psiY)
-    phi_y = fundamental_gls(psiY, K1 * t ** expo).value
-    phi_x = fundamental_gls(psiX, K2 * t ** expo).value
-    return (norm_y / phi_y) / (norm_x / phi_x)
+
+    def at(t: float, norm_x: float) -> float:
+        norm_y = _profile_sup(propagate(f, SCHRODINGER, t), psiY)
+        arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
+        phi_x = fundamental_gls(psiX, arg).value
+        return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
+
+    return at
 
 
 def v_sr(
@@ -137,25 +150,9 @@ def v_sr(
     normalization="definition" divides by phi(X, K t^-d);
     normalization="proof" divides by phi(X, t^(d/2)) instead.
     """
-    return _v_sr(f, psiX, psiY, t, K, normalization, _x_norm(f, psiX))
-
-
-def _v_sr(f, psiX, psiY, t, K, normalization, x_norm) -> float:
-    _check_input(f, t)
-    if not K > 0:
-        raise ValueError("constant K must be positive")
-    if normalization not in ("definition", "proof"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    _warn_overlap(psiX, psiY)
-    if psiY.a < 2:
-        warnings.warn("dispersive regime expects the Y support to start at >= 2")
-    d = f.grid.dim
-    norm_x = x_norm()
-    u = propagate(f, SCHRODINGER, t)
-    norm_y = _profile_sup(u, psiY)
-    arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
-    phi_x = fundamental_gls(psiX, arg).value
-    return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
+    _check_time(t)
+    at = _v_sr_at(f, psiX, psiY, K, normalization)
+    return at(t, _admissible_x_norm(f, psiX))
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,6 @@ class FunctionalCurve:
 
     t_grid: np.ndarray
     values: np.ndarray
-    label: str
-    meta: dict = field(default_factory=dict)
     exclusions: tuple = ()
 
     def __post_init__(self):
@@ -173,11 +168,11 @@ class FunctionalCurve:
         v = np.asarray(self.values, dtype=float)
         if t.size != v.size:
             raise ValueError("t_grid and values length mismatch")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("t_grid must be strictly increasing")
-        if not np.all(t > 2):
+        if not (t > 2).all():
             raise ValueError("all times must exceed 2")
-        if not np.all(np.isfinite(v) & (v > 0)):
+        if not (np.isfinite(v) & (v > 0)).all():
             raise ValueError("curve values must be finite and positive")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
@@ -186,40 +181,37 @@ class FunctionalCurve:
         return fit_rate(self.t_grid, self.values, with_log=with_log)
 
 
-def _sweep(eval_one, t_grid, label, meta, weights) -> FunctionalCurve:
-    """eval_one at each time, a ValueError excluding its time.  The weights do not
-    depend on t, so an uncovered one raises once, before the first time."""
-    for psi in weights:
+def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
+    """at(t, ||f||_X) at each time, a ValueError excluding its time.  The weights and
+    ||f||_X do not depend on t, so an uncovered weight or an f with no finite nonzero
+    norm in X raises once, before the first time."""
+    for psi in (psiX, psiY):
         _check_covered(psi)
+    norm_x = _admissible_x_norm(f, psiX)
     ts, vals, excl = [], [], []
-    for t in np.asarray(t_grid, dtype=float):
+    for t in np.asarray(t_grid, dtype=float).tolist():
         try:
-            v = eval_one(float(t))
+            _check_time(t)
+            v = at(t, norm_x)
         except ValueError as e:
-            excl.append((float(t), str(e)))
+            excl.append((t, str(e)))
             continue
         if not (math.isfinite(v) and v > 0):
-            excl.append((float(t), f"non-finite or nonpositive value {v}"))
+            excl.append((t, f"non-finite or nonpositive value {v}"))
             continue
-        ts.append(float(t))
+        ts.append(t)
         vals.append(v)
     if not ts:
         raise ValueError("no admissible time samples in sweep")
-    return FunctionalCurve(np.array(ts), np.array(vals), label, meta, tuple(excl))
+    return FunctionalCurve(np.array(ts), np.array(vals), tuple(excl))
 
 
 def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCurve:
-    meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K1": K1, "K2": K2, "kind": kind.kind}
-    x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _w_sp(f, psiX, psiY, t, K1, K2, kind, x_norm), t_grid, "SP", meta,
-                  (psiX, psiY))
+    return _sweep(_w_sp_at(f, psiX, psiY, K1, K2, kind), f, psiX, psiY, t_grid)
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
-    meta = {"X": psiX.msupp(), "Y": psiY.msupp(), "K": K, "normalization": normalization}
-    x_norm = _x_norm(f, psiX)
-    return _sweep(lambda t: _v_sr(f, psiX, psiY, t, K, normalization, x_norm), t_grid,
-                  "SR", meta, (psiX, psiY))
+    return _sweep(_v_sr_at(f, psiX, psiY, K, normalization), f, psiX, psiY, t_grid)
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:

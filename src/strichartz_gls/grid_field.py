@@ -204,9 +204,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 @dataclass(frozen=True)
 class GaussianSpec:

@@ -189,9 +189,6 @@ class PsiSpec:
             w = np.exp(np.interp(p, self.table_p, self._log_v))
         return w if isinstance(p, np.ndarray) else float(w)
 
-    def msupp(self) -> tuple:
-        return (self.a, self.b)
-
     @cached_property
     def samples(self) -> tuple:
         """(exponents, weights) that a norm weighted by psi takes its sup over, built at
@@ -290,7 +287,10 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
 
 def _gls_sup(h_at: Callable[[np.ndarray], np.ndarray], psi: PsiSpec) -> float:
     """sup_p h(p)/psi(p) over the exponents psi samples, h_at mapping an increasing
-    subset of them to h; a non-degenerate psi must cover its interval."""
+    subset of them to h; a non-degenerate psi must cover its interval.  A degenerate
+    psi is 1 at its one exponent s, so its sup is h(s) >= 0, with nothing to prune."""
+    if psi.variant == "degenerate":
+        return float(h_at(psi.samples[0])[0])
     _check_covered(psi)
     return _bounded_sup(h_at, *psi.samples)
 

@@ -1,20 +1,21 @@
 """Gaussian lower-bound experiments.
 
 Each witness evaluates a two-space functional at the unit Gaussian through
-two channels: the generic grid pipeline, and a closed-form channel built
-from the exact Gaussian variance evolution and the exact Gaussian L_p
-moments.  The closed form is the ground truth; the grid run validates the
-pipeline, and their per-time relative gap is reported.
+two channels: the functional's own curve on the grid (w_sp_curve or
+v_sr_curve), and a closed-form channel built from the exact Gaussian
+variance evolution and the exact Gaussian L_p moments.  The closed form is
+the ground truth; the grid run validates the pipeline, and their per-time
+relative gap is reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import fit_rate, space_norm
+from .functionals import fit_rate, v_sr_curve, w_sp_curve
 from .grid_field import (
     INF,
     GaussianSpec,
@@ -37,6 +38,8 @@ __all__ = ["WitnessReport", "sp_witness", "sr_witness", "gaussian_moment_law_che
 
 GAP_TOL = 1e-6
 
+_L1, _LINF = PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF)  # X and, for sr_witness, Y
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -44,8 +47,6 @@ class WitnessReport:
     grid_values: np.ndarray
     closed_values: np.ndarray
     rel_gaps: np.ndarray
-    label: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def min_value(self) -> float:
@@ -83,8 +84,8 @@ def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
 def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> WitnessReport:
     """Parabolic witness: the SP functional at f = g_1 with X = L_1, Y = G(nu).
 
-    kind may be the heat flow or the fractional flow with order 2 (whose
-    exact channel is the heat evolution at doubled time).
+    The grid channel is w_sp_curve.  kind may be the heat flow or the fractional
+    flow with order 2 (whose exact channel is the heat evolution at doubled time).
     """
     if nu.variant != "degenerate" and not nu.a > 1:
         raise ValueError("the witness requires the Y support to start above 1")
@@ -97,53 +98,36 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
 
     spec = GaussianSpec(1.0, d)
-    f = gaussian_sample(grid, spec)
-    norm_x = lp_norm(f, 1.0)
-
-    grid_vals = np.empty(t_grid.size)
+    curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         variance = propagate_gaussian_exact(spec, kind, float(t)).sigma2
         phi_y = fundamental_gls(nu, float(t) ** expo).value
         phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
-        grid_vals[i] = (space_norm(propagate(f, kind, float(t)), nu) / phi_y) * (phi_x / norm_x)
         exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
         closed_vals[i] = (_gls_sup(exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
-    gaps = np.abs(grid_vals - closed_vals) / closed_vals
-    return WitnessReport(
-        t_grid,
-        grid_vals,
-        closed_vals,
-        gaps,
-        "SP-witness",
-        {"Y": nu.msupp(), "d": d, "kind": kind.kind, "alpha": kind.alpha},
-    )
+    gaps = np.abs(curve.values - closed_vals) / closed_vals
+    return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 
 
 def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     """Dispersive witness: the SR functional at f = g_1 with X = L_1, Y = L_inf.
 
-    Closed form: t^(d/2) (2 pi)^(-d/2) (1 + t^2)^(-d/4), which tends to the
-    positive constant (2 pi)^(-d/2).
+    The grid channel is v_sr_curve.  Closed form: t^(d/2) (2 pi)^(-d/2)
+    (1 + t^2)^(-d/4), which tends to the positive constant (2 pi)^(-d/2).
     """
     t_grid = _witness_times(t_grid, grid, SCHRODINGER)
     d = grid.dim
-    f = gaussian_sample(grid, GaussianSpec(1.0, d))
-    norm_x = lp_norm(f, 1.0)
-
-    grid_vals = np.empty(t_grid.size)
+    curve = v_sr_curve(gaussian_sample(grid, GaussianSpec(1.0, d)), _L1, _LINF, t_grid)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        sup_u = lp_norm(propagate(f, SCHRODINGER, float(t)), INF)
-        phi_x = float(t) ** (-float(d))
-        grid_vals[i] = float(t) ** (-d / 2.0) * sup_u / (norm_x * phi_x)
         closed_vals[i] = (
             float(t) ** (d / 2.0)
             * (2.0 * math.pi) ** (-d / 2.0)
             * (1.0 + float(t) ** 2) ** (-d / 4.0)
         )
-    gaps = np.abs(grid_vals - closed_vals) / closed_vals
-    return WitnessReport(t_grid, grid_vals, closed_vals, gaps, "SR-witness", {"d": d})
+    gaps = np.abs(curve.values - closed_vals) / closed_vals
+    return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 
 
 def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:

@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from strichartz_gls.spaces import _bounded_sup, _weighted_sup  # noqa: E402
+from strichartz_gls.spaces import PsiSpec, _bounded_sup, _gls_sup, _weighted_sup  # noqa: E402
 
 INF = math.inf
 
@@ -43,3 +43,15 @@ def test_bounded_sup_equals_full_sup(case):
     assert got == _weighted_sup(h_at(p), w)
     asked = asked[:len(asked) - p.size]
     assert len(set(asked)) == len(asked) and set(asked) <= set(p.tolist())
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5, INF])
+@pytest.mark.parametrize("h", [0.0, 3.7e-300, 0.25, 1.9e300, INF])
+def test_degenerate_sup_is_the_one_exponent_value(s, h):
+    # a degenerate weight is 1 at s: one h evaluation, the same bits as the weighted sup
+    asked = []
+    psi = PsiSpec.degenerate(s)
+    got = _gls_sup(lambda q: asked.append(q.tolist()) or np.array([h]), psi)
+    assert asked == [[s]]
+    assert got == _weighted_sup(np.array([h]), psi.samples[1])
+    assert math.copysign(1.0, got) == 1.0

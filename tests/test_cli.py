@@ -401,6 +401,20 @@ def test_config_fault_names_dotted_field(config, path, value, field, tmp_path, c
     assert {p.name for p in tmp_path.iterdir()} == {"bad.json"}
 
 
+@pytest.mark.parametrize("field", ["K1", "K2", "K"])
+def test_functional_constant_must_be_positive_and_finite(field, tmp_path, capsys, monkeypatch):
+    config = "functional_sweep_sr" if field == "K" else "functional_sweep_sp"
+    monkeypatch.setattr(functionals, "propagate", lambda *a: pytest.fail("propagated"))
+    for value in (0, -1, "inf"):
+        cfg = {**json.loads((CONFIG_DIR / f"{config}.json").read_text()), field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(str(bad), str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field {field} must be a positive finite number")
+        assert not (tmp_path / "out").exists()
+
+
 def test_zeta_endpoint_finer_than_float_spacing(tmp_path):
     # b - 1e-12 rounds to b here; the exponent grid must still stay inside (a, b)
     cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())

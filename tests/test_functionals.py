@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,16 +244,53 @@ def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
     assert curve.values[1] == single(f, psiX, psiY, 16.0)
     assert curve.exclusions == ((2.0, "functionals are defined for t > 2, got t=2.0"),)
 
-    # an infinite X norm excludes every admissible time; it is still taken once
+    # an infinite X norm fails the sweep before its first time; it is still taken once
     calls.clear()
     monkeypatch.setattr(functionals, "space_norm", lambda h, psi: calls.append(psi) or INF)
-    with pytest.raises(ValueError, match="no admissible time samples"):
+    with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
         sweep(f, psiX, psiY, t_grid)
     assert calls == [psiX]
     with pytest.raises(ValueError, match="defined for t > 2"):  # the time is checked first
         single(f, psiX, psiY, 2.0)
     with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
         single(f, psiX, psiY, 16.0)
+
+
+@pytest.mark.parametrize("sweep, psiX, psiY, message", [
+    (w_sp_curve, PsiSpec.zeta(1.0, 2.0, 1.0, 1.0), PsiSpec.zeta(1.5, 4.0, 1.0, 1.0),
+     "exponent supports overlap"),
+    (v_sr_curve, PsiSpec.degenerate(1.0), PsiSpec.zeta(1.5, 6.0, 1.0, 1.0),
+     "dispersive regime expects"),
+], ids=["SP", "SR"])
+def test_sweep_warns_once(sweep, psiX, psiY, message):
+    # the warning is about (X, Y), which does not depend on t: one per sweep, not per time
+    _, f, _, _ = _sp_setup()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = sweep(f, psiX, psiY, [4.0, 16.0, 64.0])
+    assert curve.t_grid.size == 3
+    assert [str(w.message)[:len(message)] for w in caught] == [message]
+
+
+@pytest.mark.parametrize("single, sweep, constant", [
+    (w_sp, w_sp_curve, "K1"), (w_sp, w_sp_curve, "K2"), (v_sr, v_sr_curve, "K")])
+def test_constants_are_checked_once_before_the_first_time(single, sweep, constant, monkeypatch):
+    _, f, psiX, psiY = _sp_setup()
+    monkeypatch.setattr(functionals, "propagate", lambda *a: pytest.fail("propagated"))
+    for value in (0.0, -1.0, INF):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep(f, psiX, psiY, [4.0, 16.0, 64.0], **{constant: value})
+        with pytest.raises(ValueError, match="positive and finite"):
+            single(f, psiX, psiY, 16.0, **{constant: value})
+
+
+def test_zero_datum_has_zero_norm_in_x():
+    _, f, psiX, psiY = _sp_setup()
+    zero = f + (-1.0) * f
+    for call in (lambda: w_sp(zero, psiX, psiY, 16.0), lambda: w_sp_curve(zero, psiX, psiY, [16.0]),
+                 lambda: v_sr(zero, psiX, psiY, 16.0)):
+        with pytest.raises(ValueError, match="f has zero norm in X"):
+            call()
 
 
 def test_sweep_takes_few_moment_profile_exponents(monkeypatch, tmp_path):

@@ -22,6 +22,8 @@ from strichartz_gls import (
     propagate,
     sp_witness,
     sr_witness,
+    v_sr_curve,
+    w_sp_curve,
 )
 
 GAP_TOL = 1e-6
@@ -36,6 +38,28 @@ def test_sp_witness_two_channels_agree():
     nu = PsiSpec.table({2.0: 1.0, 4.0: 1.0})
     rep = sp_witness(nu, SP_TIMES, SP_GRID)
     assert rep.max_gap < GAP_TOL
+
+
+@pytest.mark.parametrize("nu, grid, times, kind", [
+    (PsiSpec.table({2.0: 1.0, 4.0: 1.0}), SP_GRID, [4.0, 16.0, 64.0, 256.0, 512.0],
+     fractional(2.0)),
+    (PsiSpec.zeta(1.5, 6.0, 1.0, 1.0), make_grid(2, 60.0, 256), [4.0, 16.0, 64.0], HEAT),
+    (PsiSpec.degenerate(3.0), make_grid(3, 24.0, 32), [3.0, 6.0, 12.0], HEAT),
+], ids=["d1-fractional-table", "d2-heat-zeta", "d3-heat-L3"])
+def test_sp_witness_grid_channel_is_the_functional_curve(nu, grid, times, kind):
+    f = gaussian_sample(grid, GaussianSpec(1.0, grid.dim))
+    curve = w_sp_curve(f, PsiSpec.degenerate(1.0), nu, times, kind=kind)
+    rep = sp_witness(nu, times, grid, kind=kind)
+    assert rep.grid_values.tolist() == curve.values.tolist()
+    assert rep.t_grid.tolist() == curve.t_grid.tolist()
+
+
+@pytest.mark.parametrize("grid, times", [(SR_GRID, SR_TIMES), (make_grid(2, 48.0, 256),
+                                                               [3.0, 5.0, 7.0])], ids=["d1", "d2"])
+def test_sr_witness_grid_channel_is_the_functional_curve(grid, times):
+    f = gaussian_sample(grid, GaussianSpec(1.0, grid.dim))
+    curve = v_sr_curve(f, PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF), times)
+    assert sr_witness(times, grid).grid_values.tolist() == curve.values.tolist()
 
 
 def test_sp_witness_takes_few_moment_profile_exponents(monkeypatch, tmp_path):
