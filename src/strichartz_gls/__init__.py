@@ -10,7 +10,6 @@ from .grid_field import (
     GridFunction,
     MomentProfile,
     box_indicator,
-    box_measure,
     gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
@@ -19,7 +18,6 @@ from .grid_field import (
     periodic_convolve,
 )
 from .spaces import (
-    FundamentalValue,
     PsiSpec,
     ZetaParams,
     exponent_grid,
@@ -32,7 +30,6 @@ from .spaces import (
 from .propagators import (
     HEAT,
     SCHRODINGER,
-    EvolvedGaussian,
     PropagatorKind,
     check_window,
     fractional,
@@ -49,10 +46,7 @@ from .functionals import (
     mixed_norm,
     predicted_rate,
     space_norm,
-    space_profile,
-    v_sr,
     v_sr_curve,
-    w_sp,
     w_sp_curve,
 )
 from .witness import (

@@ -108,6 +108,11 @@ class Fields:
         return self.read(key, default, lambda v: x if (x := _as_real(v)) and 0 < x < INF else None,
                          "a positive finite number")
 
+    def finite(self, key, default=_MISSING, least=-INF) -> float:
+        return self.read(key, default, lambda v: x if (x := _as_real(v)) is not None
+                         and abs(x) < INF and x >= least else None,
+                         "a finite number" + (f" at least {least:g}" if least > -INF else ""))
+
     def integer(self, key, default=_MISSING, least=None, cap=None) -> int:
         n = self.read(key, default, _as_integer, "an integer")
         if least is not None and n < least:
@@ -124,12 +129,13 @@ class Fields:
         return self.read(key, default, lambda v: v if isinstance(v, bool) else None,
                          "true or false")
 
-    def reals(self, key) -> list:
-        """A non-empty list of reals; entries are named ``key.<index>``."""
+    def reals(self, key, entry=None) -> list:
+        """A non-empty list of reals, each read by ``entry`` (Fields.real by default);
+        entries are named ``key.<index>``."""
         items = self.read(key, _MISSING, lambda v: v if isinstance(v, list) and v else None,
                            "a non-empty list of numbers")
         entries = Fields(dict(enumerate(items)), self.name(key))
-        return [entries.real(i) for i in range(len(items))]
+        return [(entry or Fields.real)(entries, i) for i in range(len(items))]
 
     def block(self, key, default=_MISSING) -> "Fields":
         data = self.read(key, default, lambda v: v if isinstance(v, dict) else None, "an object")
@@ -280,12 +286,13 @@ def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None, least: int = 1)
 def _run_norms(cfg):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
-    if cfg.holds("p_grid", list):
-        p = np.asarray(cfg.reals("p_grid"))
-    else:
-        block = cfg.block("p_grid")
-        p = exponent_grid(block.real("a"), block.real("b"))
-    prof = moment_profile(f, p, "grid")
+    with _config_fault("p_grid"):
+        if cfg.holds("p_grid", list):
+            p = np.asarray(cfg.reals("p_grid"))
+        else:
+            block = cfg.block("p_grid")
+            p = exponent_grid(block.real("a"), block.real("b"))
+        prof = moment_profile(f, p)
     rows = list(zip(_fmt(prof.p_grid), _fmt(prof.values), repeat("grid")))
     return ["p", "value", "provenance"], rows, {
         "count": int(prof.p_grid.size),
@@ -296,13 +303,13 @@ def _run_norms(cfg):
 
 def _run_fundamental(cfg):
     psi = parse_psi(cfg, "psi")
-    deltas = cfg.reals("deltas")
+    deltas = cfg.reals("deltas", Fields.positive)
     regime = cfg.choice("regime", ("small", "large"), None)
     nums, asys, ratios = [], [], []
     for delta in deltas:
-        nums.append(fundamental_gls(psi, delta).value)
+        nums.append(fundamental_gls(psi, delta))
         if regime and psi.variant == "zeta":
-            asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime).value)
+            asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime))
             ratios.append(nums[-1] / asys[-1])
     rows = list(zip(_fmt(deltas), _fmt(nums), _fmt(asys) if asys else repeat(""), repeat("grid")))
     summary = {"deltas": deltas}
@@ -382,7 +389,7 @@ def _run_moment_law(cfg):
     r_list = cfg.reals("r_list")
     _check_times(t_grid, grid, SCHRODINGER, MIN_FIT_SAMPLES)
     with _config_fault():
-        slopes = gaussian_moment_law_check(grid.dim, r_list, t_grid, grid)
+        slopes = gaussian_moment_law_check(r_list, t_grid, grid)
     errs = [abs(f - p) for _, f, p in slopes]
     rows = list(zip(*map(_fmt, zip(*slopes)), repeat("fit")))
     return ["r", "fitted_slope", "predicted_slope", "provenance"], rows, {
@@ -394,10 +401,13 @@ def _run_moment_law(cfg):
 def _run_mixed_norm(cfg):
     theta = parse_psi(cfg, "theta")
     curve = cfg.block("curve")
-    power = curve.real("power")
-    coef = curve.real("coef", 1.0)
-    t_max = curve.real("t_max")
-    t_min = curve.real("t_min", 1e-12)
+    power = curve.finite("power")
+    coef = curve.finite("coef", 1.0, least=0.0)
+    t_max = curve.positive("t_max")
+    t_min = curve.positive("t_min", 1e-12)
+    if not t_min < t_max:
+        raise ConfigError(f"field {curve.name('t_min')} must be below {curve.name('t_max')}, "
+                          f"got {t_min:g} >= {t_max:g}")
     count = curve.integer("count", 2048, least=MIN_CURVE_SAMPLES, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
     value = mixed_norm(t, coef * t ** power, theta)

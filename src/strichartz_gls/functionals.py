@@ -5,7 +5,8 @@ The parabolic functional compares the evolved norm in Y against the
 initial norm in X, each divided by the fundamental function of its space
 at the diffusive scale t^(d/2).  The dispersive (group) functional uses
 t^(-d/2) ||U_t f||_Y / (||f||_X phi(X, K t^-d)); a switch selects the
-alternative phi(X, t^(d/2)) normalization.
+alternative phi(X, t^(d/2)) normalization.  Each functional is its curve
+over a time grid (w_sp_curve, v_sr_curve); a single time is a one-time grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_field import INF, GridFunction, moment_profile
-from .propagators import HEAT, SCHRODINGER, PropagatorKind, propagate
+from .propagators import HEAT, SCHRODINGER, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
 from .spaces import PsiSpec, _check_covered, _gls_sup, fundamental_gls
 
@@ -25,9 +26,6 @@ __all__ = [
     "FunctionalCurve",
     "RateFit",
     "PredictedRate",
-    "space_profile",
-    "w_sp",
-    "v_sr",
     "w_sp_curve",
     "v_sr_curve",
     "mixed_norm",
@@ -41,11 +39,6 @@ PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fracti
                      "heat-lp", "schrodinger-lp")
 
 
-def space_profile(f: GridFunction, psi: PsiSpec, provenance: str = "grid"):
-    """Moment profile of f over the exponents psi samples."""
-    return moment_profile(f, psi.samples[0], provenance)
-
-
 def _profile_sup(f: GridFunction, psi: PsiSpec) -> float:
     """The norm of f weighted by psi, its moment profile taken only where it can set the sup."""
     return _gls_sup(lambda q: moment_profile(f, q).values, psi)
@@ -55,104 +48,12 @@ def space_norm(f: GridFunction, psi: PsiSpec) -> float:
     return _profile_sup(f, psi)
 
 
-def _check_time(t: float):
-    if not t > 2:
-        raise ValueError(f"functionals are defined for t > 2, got t={t}")
-
-
-def _admissible_x_norm(f: GridFunction, psiX: PsiSpec) -> float:
-    """||f||_X, which must be finite and nonzero for a ratio functional."""
-    norm_x = space_norm(f, psiX)
-    if norm_x == INF:
-        raise ValueError("f is not in X (infinite norm)")
-    if norm_x == 0.0:
-        raise ValueError("f has zero norm in X")
-    return norm_x
-
-
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
     if max(psiX.a, psiX.b) > min(psiY.a, psiY.b):
         warnings.warn(
             "exponent supports overlap: msupp(X) is not below msupp(Y)",
-            stacklevel=4,
+            stacklevel=3,
         )
-
-
-def _w_sp_at(f, psiX, psiY, K1, K2, kind):
-    """W_SP as a function of (t, ||f||_X), once K1, K2 and kind are checked and (X, Y)
-    warned about."""
-    if not (0 < K1 < INF and 0 < K2 < INF):
-        raise ValueError("constants K1, K2 must be positive and finite")
-    if kind.kind == "schrodinger":
-        raise ValueError("use v_sr for the dispersive group")
-    _warn_overlap(psiX, psiY)
-    expo = f.grid.dim / 2.0 if kind.kind == "heat" else f.grid.dim / kind.alpha
-
-    def at(t: float, norm_x: float) -> float:
-        norm_y = _profile_sup(propagate(f, kind, t), psiY)
-        phi_y = fundamental_gls(psiY, K1 * t ** expo).value
-        phi_x = fundamental_gls(psiX, K2 * t ** expo).value
-        return (norm_y / phi_y) / (norm_x / phi_x)
-
-    return at
-
-
-def w_sp(
-    f: GridFunction,
-    psiX: PsiSpec,
-    psiY: PsiSpec,
-    t: float,
-    K1: float = 1.0,
-    K2: float = 1.0,
-    kind: PropagatorKind = HEAT,
-) -> float:
-    """Parabolic two-space functional at time t for a single f.
-
-    [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
-    e = d/2 for heat and d/alpha for the fractional flow.
-    """
-    _check_time(t)
-    at = _w_sp_at(f, psiX, psiY, K1, K2, kind)
-    return at(t, _admissible_x_norm(f, psiX))
-
-
-def _v_sr_at(f, psiX, psiY, K, normalization):
-    """V_SR as a function of (t, ||f||_X), once K and the normalization are checked and
-    (X, Y) warned about."""
-    if not 0 < K < INF:
-        raise ValueError("constant K must be positive and finite")
-    if normalization not in ("definition", "proof"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    _warn_overlap(psiX, psiY)
-    if psiY.a < 2:
-        warnings.warn("dispersive regime expects the Y support to start at >= 2", stacklevel=3)
-    d = f.grid.dim
-
-    def at(t: float, norm_x: float) -> float:
-        norm_y = _profile_sup(propagate(f, SCHRODINGER, t), psiY)
-        arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
-        phi_x = fundamental_gls(psiX, arg).value
-        return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
-
-    return at
-
-
-def v_sr(
-    f: GridFunction,
-    psiX: PsiSpec,
-    psiY: PsiSpec,
-    t: float,
-    K: float = 1.0,
-    normalization: str = "definition",
-) -> float:
-    """Dispersive two-space functional at time t for a single f.
-
-    normalization="definition" divides by phi(X, K t^-d);
-    normalization="proof" divides by phi(X, t^(d/2)) instead.
-    """
-    _check_time(t)
-    at = _v_sr_at(f, psiX, psiY, K, normalization)
-    return at(t, _admissible_x_norm(f, psiX))
 
 
 @dataclass(frozen=True)
@@ -177,21 +78,23 @@ class FunctionalCurve:
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
 
-    def fit(self, with_log: bool = False) -> "RateFit":
-        return fit_rate(self.t_grid, self.values, with_log=with_log)
-
 
 def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
-    """at(t, ||f||_X) at each time, a ValueError excluding its time.  The weights and
-    ||f||_X do not depend on t, so an uncovered weight or an f with no finite nonzero
-    norm in X raises once, before the first time."""
+    """at(t, ||f||_X) at each time t > 2, a ValueError excluding its time.  The weights
+    and ||f||_X do not depend on t, so an uncovered weight or an f with no finite
+    nonzero norm in X raises once, before the first time."""
     for psi in (psiX, psiY):
         _check_covered(psi)
-    norm_x = _admissible_x_norm(f, psiX)
+    norm_x = space_norm(f, psiX)
+    if norm_x == INF:
+        raise ValueError("f is not in X (infinite norm)")
+    if norm_x == 0.0:
+        raise ValueError("f has zero norm in X")
     ts, vals, excl = [], [], []
     for t in np.asarray(t_grid, dtype=float).tolist():
         try:
-            _check_time(t)
+            if not t > 2:
+                raise ValueError(f"functionals are defined for t > 2, got t={t}")
             v = at(t, norm_x)
         except ValueError as e:
             excl.append((t, str(e)))
@@ -207,11 +110,49 @@ def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
 
 
 def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCurve:
-    return _sweep(_w_sp_at(f, psiX, psiY, K1, K2, kind), f, psiX, psiY, t_grid)
+    """Parabolic two-space functional of a single f over a time grid.
+
+    [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
+    e = d/2 for heat and d/alpha for the fractional flow.
+    """
+    if not (0 < K1 < INF and 0 < K2 < INF):
+        raise ValueError("constants K1, K2 must be positive and finite")
+    if kind.kind == "schrodinger":
+        raise ValueError("use v_sr_curve for the dispersive group")
+    _warn_overlap(psiX, psiY)
+    expo = f.grid.dim / 2.0 if kind.kind == "heat" else f.grid.dim / kind.alpha
+
+    def at(t: float, norm_x: float) -> float:
+        norm_y = _profile_sup(propagate(f, kind, t), psiY)
+        phi_y = fundamental_gls(psiY, K1 * t ** expo)
+        phi_x = fundamental_gls(psiX, K2 * t ** expo)
+        return (norm_y / phi_y) / (norm_x / phi_x)
+
+    return _sweep(at, f, psiX, psiY, t_grid)
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
-    return _sweep(_v_sr_at(f, psiX, psiY, K, normalization), f, psiX, psiY, t_grid)
+    """Dispersive two-space functional of a single f over a time grid.
+
+    normalization="definition" divides by phi(X, K t^-d);
+    normalization="proof" divides by phi(X, t^(d/2)) instead.
+    """
+    if not 0 < K < INF:
+        raise ValueError("constant K must be positive and finite")
+    if normalization not in ("definition", "proof"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    _warn_overlap(psiX, psiY)
+    if psiY.a < 2:
+        warnings.warn("dispersive regime expects the Y support to start at >= 2", stacklevel=2)
+    d = f.grid.dim
+
+    def at(t: float, norm_x: float) -> float:
+        norm_y = _profile_sup(propagate(f, SCHRODINGER, t), psiY)
+        arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
+        phi_x = fundamental_gls(psiX, arg)
+        return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
+
+    return _sweep(at, f, psiX, psiY, t_grid)
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
@@ -293,9 +234,7 @@ def predicted_rate(source: str, **params) -> PredictedRate:
             raise ValueError("need alpha in (0, 2]")
         if not 1 <= p <= r:
             raise ValueError("need 1 <= p <= r")
-        inv_r = 0.0 if r == INF else 1.0 / r
-        inv_p = 0.0 if p == INF else 1.0 / p
-        power = (d / alpha) * (inv_r - inv_p)
+        power = (d / alpha) * (1.0 / r - 1.0 / p)
         if source == "fractional-laplacian":
             power -= 1.0 / alpha
         return PredictedRate(power, 0.0, source)
@@ -303,15 +242,12 @@ def predicted_rate(source: str, **params) -> PredictedRate:
         p, r = params["p"], params["r"]
         if not (p >= 1 and r > p):
             raise ValueError("need r > p >= 1")
-        inv_r = 0.0 if r == INF else 1.0 / r
-        inv_p = 0.0 if p == INF else 1.0 / p
-        return PredictedRate((d / 2.0) * (inv_r - inv_p), 0.0, source)
+        return PredictedRate((d / 2.0) * (1.0 / r - 1.0 / p), 0.0, source)
     if source == "schrodinger-lp":
         p = params["p"]
         if not p >= 2:
             raise ValueError("need p >= 2")
-        inv_p = 0.0 if p == INF else 1.0 / p
-        return PredictedRate(d * (inv_p - 0.5), 0.0, source)
+        return PredictedRate(d * (1.0 / p - 0.5), 0.0, source)
     raise ValueError(f"unknown predicted-rate source {source!r}")
 
 

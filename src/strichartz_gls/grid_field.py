@@ -280,7 +280,6 @@ class MomentProfile:
 
     p_grid: np.ndarray
     values: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.p_grid, dtype=float)
@@ -331,7 +330,7 @@ def _power_sum(v: np.ndarray, p: np.ndarray) -> tuple:
     return m, [float(np.sum(a))]
 
 
-def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfile:
+def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid.
 
     The max of |f| is factored out of every finite-p sum to avoid overflow.
@@ -361,7 +360,7 @@ def moment_profile(f: GridFunction, p_grid, provenance: str = "") -> MomentProfi
     # finished one exponent at a time: the vectorised power moves the last digit
     for i, (pi, s) in enumerate(zip(finite.tolist(), sums)):
         out[i] = m * (s * vol) ** (1.0 / pi)
-    return MomentProfile(p, out, provenance)
+    return MomentProfile(p, out)
 
 
 def box_indicator(grid: Grid, nodes_per_axis: int) -> GridFunction:
@@ -373,10 +372,6 @@ def box_indicator(grid: Grid, nodes_per_axis: int) -> GridFunction:
     start = (grid.points_per_axis - m) // 2
     axis[start:start + m] = 1.0
     return GridFunction(grid, factors=(axis,) * grid.dim)
-
-
-def box_measure(grid: Grid, nodes_per_axis: int) -> float:
-    return (nodes_per_axis * grid.spacing) ** grid.dim
 
 
 def periodic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -38,7 +38,6 @@ __all__ = [
     "PropagatorKind",
     "HEAT",
     "SCHRODINGER",
-    "EvolvedGaussian",
     "fractional",
     "propagate",
     "propagate_gaussian_exact",
@@ -131,32 +130,18 @@ def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
     return _apply_multiplier(f, _multiplier(f.grid, kind, t))
 
 
-@dataclass(frozen=True)
-class EvolvedGaussian:
-    """Exact Gaussian evolution: the variance parameter after time t."""
-
-    initial_sigma2: complex
-    t: float
-    sigma2: complex
-    dim: int
-
-    def __post_init__(self):
-        if not complex(self.sigma2).real > 0:
-            raise ValueError("resulting variance must have positive real part")
-
-
-def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> EvolvedGaussian:
-    """Variance update: heat s2 -> s2 + t; schrodinger s2 -> s2 + i t;
+def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> complex:
+    """The variance after time t: heat s2 -> s2 + t; schrodinger s2 -> s2 + i t;
     fractional order 2 s2 -> s2 + 2t (S_2(t) = T_2t)."""
     s2 = complex(spec.sigma2)
     if kind.kind == "schrodinger":
-        return EvolvedGaussian(s2, t, s2 + 1j * t, spec.dim)
+        return s2 + 1j * t
     if kind.kind == "fractional" and kind.alpha != 2:
         raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
     if t < 0:
         raise ValueError(f"negative time is not legal for {kind.kind}")
     rate = 1.0 if kind.kind == "heat" else 2.0
-    return EvolvedGaussian(s2, t, s2 + rate * t, spec.dim)
+    return s2 + rate * t
 
 
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:

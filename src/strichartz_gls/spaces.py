@@ -21,7 +21,6 @@ from .grid_field import INF, MomentProfile
 __all__ = [
     "ZetaParams",
     "PsiSpec",
-    "FundamentalValue",
     "zeta_crossover",
     "zeta_eval",
     "exponent_grid",
@@ -72,8 +71,11 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
             return h
         fun = lambda h: (h - a) ** alpha - (b - h) ** beta
         lo, hi = a + CROSSOVER_TOL, b - CROSSOVER_TOL
-        if fun(lo) > 0 or fun(hi) < 0:
-            raise ValueError("crossover equation has no root on (a, b)")
+        try:  # the bisection stays inside these ends, so only they can overflow
+            if fun(lo) > 0 or fun(hi) < 0:
+                raise ValueError("crossover equation has no root on (a, b)")
+        except OverflowError as e:
+            raise ValueError(f"crossover equation overflows on ({a}, {b}): {e}") from e
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats spaced wider than the tolerance
@@ -161,10 +163,6 @@ class PsiSpec:
             raise ValueError("table weight values must be positive and finite")
         return cls(a=float(p[0]), b=float(p[-1]), variant="table", table_p=p, table_v=v)
 
-    @classmethod
-    def constant(cls, value: float, a: float, b: float) -> "PsiSpec":
-        return cls.table({a: value, b: value})
-
     def __post_init__(self):
         if self.variant not in ("zeta", "degenerate", "table"):
             raise ValueError(f"unknown weight variant {self.variant!r}")
@@ -223,6 +221,8 @@ def exponent_grid(
     Spacing is geometric in (p - a) (and in (b - p) for finite b) with at
     least `per_decade` points per decade of offset.
     """
+    if not 1 <= a < b:
+        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if b == INF:
         cap = p_cap if p_cap is not None else max(100.0, 8.0 * a)
         span = cap - a
@@ -325,19 +325,6 @@ def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.
     return best
 
 
-@dataclass(frozen=True)
-class FundamentalValue:
-    """Fundamental-function value at delta, with its computation method."""
-
-    delta: float
-    value: float
-    method: str
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-
-
 def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
                 rel_tol: float = 1e-12, max_iter: int = 200) -> tuple:
     """Golden-section maximization on [lo, hi]; returns (x, fun(x))."""
@@ -360,13 +347,12 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
     return x, fun(x)
 
 
-def fundamental_gls(psi: PsiSpec, delta: float) -> FundamentalValue:
+def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     """sup_p delta^(1/p)/psi(p) by dense sampling plus golden-section refinement."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if psi.variant == "degenerate":
-        val = 1.0 if psi.s == INF else delta ** (1.0 / psi.s)
-        return FundamentalValue(delta, val, "numeric-sup")
+        return 1.0 if psi.s == INF else delta ** (1.0 / psi.s)
 
     logd = math.log(delta)
     log_obj = lambda p: logd / p - math.log(psi.psi(p))
@@ -380,15 +366,17 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> FundamentalValue:
     hi = grid[min(i + 1, grid.size - 1)]
     _, best = _golden_max(log_obj, float(lo), float(hi))
     best = max(best, float(vals[i]))
-    return FundamentalValue(delta, math.exp(best), "numeric-sup")
+    return math.exp(best)
 
 
-def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> FundamentalValue:
+def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> float:
     """Closed-form fundamental-function asymptotics for zeta-weight spaces.
 
     Regimes: "small" (delta < e^-2) with either finite b or b = inf, and
     "large" (delta > e^2, b = inf only).
     """
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     a, b, alpha, beta = params.a, params.b, params.alpha, params.beta
     if regime == "small":
         if not delta < math.exp(-2.0):
@@ -397,19 +385,16 @@ def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> Fun
             if min(alpha, beta) < 0:
                 raise ValueError("finite-b small-delta form requires alpha, beta >= 0")
             pre = 1.0 if beta == 0 else (beta * b * b / math.e) ** beta
-            val = pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
-            return FundamentalValue(delta, val, "asymptotic-small-finite-b")
+            return pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
         if not beta < 0:
             raise ValueError("b = inf small-delta form requires beta < 0")
         m = abs(beta)
-        val = m ** m * abs(math.log(delta)) ** (-m)
-        return FundamentalValue(delta, val, "asymptotic-small-infinite-b")
+        return m ** m * abs(math.log(delta)) ** (-m)
     if regime == "large":
         if not delta > math.exp(2.0):
             raise ValueError("large regime requires delta > e^2")
         if not (b == INF and beta < 0):
             raise ValueError("large-delta form requires b = inf and beta < 0")
         pre = 1.0 if alpha == 0 else (a * a * alpha / math.e) ** alpha
-        val = pre * delta ** (1.0 / a) * math.log(delta) ** (-a)
-        return FundamentalValue(delta, val, "asymptotic-large")
+        return pre * delta ** (1.0 / a) * math.log(delta) ** (-a)
     raise ValueError(f"unknown regime {regime!r}")

@@ -101,8 +101,8 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     closed_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        variance = propagate_gaussian_exact(spec, kind, float(t)).sigma2
-        phi_y = fundamental_gls(nu, float(t) ** expo).value
+        variance = propagate_gaussian_exact(spec, kind, float(t))
+        phi_y = fundamental_gls(nu, float(t) ** expo)
         phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
         exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
         closed_vals[i] = (_gls_sup(exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
@@ -130,15 +130,14 @@ def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 
 
-def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:
+def gaussian_moment_law_check(r_list, t_grid, grid: Grid) -> list:
     """Fit the decay slope of |U_t g_1|_r for each r and compare with
     the predicted -d(1/2 - 1/r).
 
     Returns rows of (r, fitted_slope, predicted_slope).
     """
     t_grid = _witness_times(t_grid, grid, SCHRODINGER)
-    if d != grid.dim:
-        raise ValueError("dimension does not match grid")
+    d = grid.dim
     for r in r_list:
         if not (r > 1 or r == INF):
             raise ValueError("moment law holds for r in (1, inf]")
@@ -151,7 +150,5 @@ def gaussian_moment_law_check(d: int, r_list, t_grid, grid: Grid) -> list:
     rows = []
     for r, vals_r in zip(r_list, vals):
         fitted = fit_rate(t_grid, vals_r).slope
-        inv_r = 0.0 if r == INF else 1.0 / r
-        predicted = -d * (0.5 - inv_r)
-        rows.append((float(r), fitted, predicted))
+        rows.append((float(r), fitted, -d * (0.5 - 1.0 / r)))
     return rows

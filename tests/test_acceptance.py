@@ -173,7 +173,7 @@ def test_criterion_09_fundamental_asymptotics(capsys):
     psi = PsiSpec.zeta(1.0, 2.0, 1.0, 1.0)
     zp = ZetaParams(1.0, 2.0, 1.0, 1.0)
     ratios = [
-        fundamental_gls(psi, d).value / fundamental_asymptotic(zp, d, "small").value
+        fundamental_gls(psi, d) / fundamental_asymptotic(zp, d, "small")
         for d in (1e-6, 1e-8, 1e-10)
     ]
     drifts = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
@@ -227,7 +227,7 @@ def test_criterion_11_property_suites(capsys):
     # fundamental-function monotonicity on delta ladders
     mono_ok = True
     for spec in (psi, PsiSpec.zeta(1.0, INF, 1.0, -1.0), PsiSpec.degenerate(2.0)):
-        vals = [fundamental_gls(spec, d).value for d in np.geomspace(1e-8, 1e4, 25)]
+        vals = [fundamental_gls(spec, d) for d in np.geomspace(1e-8, 1e4, 25)]
         mono_ok &= all(b > a for a, b in zip(vals, vals[1:]))
 
     # crossover continuity

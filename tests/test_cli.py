@@ -378,6 +378,21 @@ CONFIG_FAULTS = [
     ("mixed_norm", ("curve", "count"), 0, "curve.count"),
     ("mixed_norm", ("curve", "count"), 3, "curve.count"),
     ("mixed_norm", ("curve", "count"), -1, "curve.count"),
+    # each value below used to exit 0 with a NaN or infinite value, or exit 2 naming no field
+    ("mixed_norm", ("curve", "t_max"), "inf", "curve.t_max"),
+    ("mixed_norm", ("curve", "t_min"), 5.0, "curve.t_min"),
+    ("mixed_norm", ("curve", "power"), "inf", "curve.power"),
+    ("mixed_norm", ("curve", "coef"), -1.0, "curve.coef"),
+    ("norms_gaussian", ("p_grid",), {"a": 3, "b": 2}, "p_grid"),
+    ("norms_gaussian", ("p_grid",), [0.5], "p_grid"),
+    ("norms_gaussian", ("p_grid",), [2, 1], "p_grid"),
+    ("fundamental_zeta", ("deltas",), [-1], "deltas.0"),
+    ("fundamental_zeta", ("deltas",), [1e-6, 0], "deltas.1"),
+    # the crossover of this weight overflows: it used to exit 2 naming no field
+    ("witness_sp", ("nu",), {"variant": "zeta", "a": 1.5, "b": 6.0, "alpha": 1.0, "beta": 500.0},
+     "nu"),
+    ("fundamental_zeta", ("psi",),
+     {"variant": "zeta", "a": 1.5, "b": 6.0, "alpha": 1.0, "beta": 500.0}, "psi"),
 ]
 
 

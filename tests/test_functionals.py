@@ -21,11 +21,19 @@ from strichartz_gls import (
     make_grid,
     mixed_norm,
     predicted_rate,
-    v_sr,
     v_sr_curve,
-    w_sp,
     w_sp_curve,
 )
+
+
+def w_sp(f, psiX, psiY, t, **params):
+    """W_SP at one time t > 2: the curve over a one-time grid."""
+    return w_sp_curve(f, psiX, psiY, [t], **params).values[0]
+
+
+def v_sr(f, psiX, psiY, t, **params):
+    """V_SR at one time t > 2: the curve over a one-time grid."""
+    return v_sr_curve(f, psiX, psiY, [t], **params).values[0]
 
 
 # ---------------------------------------------------------------- fit_rate
@@ -117,7 +125,7 @@ def test_predicted_rate_lp_sources():
         predicted_rate("no-such-source", d=1)
 
 
-# ------------------------------------------------------------------- w_sp
+# ------------------------------------------------------------- w_sp_curve
 
 def _sp_setup():
     g = make_grid(1, 256.0, 8192)
@@ -150,7 +158,10 @@ def test_w_sp_guards():
     zero = f + (-1.0) * f
     with pytest.raises(ValueError):
         w_sp(zero, psiX, psiY, 16.0)
-    with pytest.raises(ValueError):
+    # t <= 2 is not an error but an exclusion; a curve with no other time has no value
+    assert w_sp_curve(f, psiX, psiY, [2.0, 16.0]).exclusions == (
+        (2.0, "functionals are defined for t > 2, got t=2.0"),)
+    with pytest.raises(ValueError, match="no admissible time samples"):
         w_sp(f, psiX, psiY, 2.0)
     with pytest.raises(ValueError):
         w_sp(f, psiX, psiY, 16.0, K1=-1.0)
@@ -170,7 +181,7 @@ def test_w_sp_fractional_kind():
     assert v > 0 and math.isfinite(v)
 
 
-# -------------------------------------------------------------------- v_sr
+# ------------------------------------------------------------- v_sr_curve
 
 def _sr_setup():
     g = make_grid(1, 4096.0, 65536)
@@ -230,9 +241,8 @@ def test_curve_records_exclusions():
     assert curve.exclusions[0][0] == 1.0
 
 
-@pytest.mark.parametrize("single, sweep", [(w_sp, w_sp_curve), (v_sr, v_sr_curve)],
-                         ids=["SP", "SR"])
-def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
+@pytest.mark.parametrize("sweep", [w_sp_curve, v_sr_curve], ids=["SP", "SR"])
+def test_sweep_takes_the_x_norm_once(sweep, monkeypatch):
     _, f, psiX, psiY = _sp_setup()
     space_norm = functionals.space_norm
     calls = []
@@ -241,7 +251,7 @@ def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
     t_grid = [2.0, 4.0, 16.0, 64.0]
     curve = sweep(f, psiX, psiY, t_grid)
     assert calls == [psiX]
-    assert curve.values[1] == single(f, psiX, psiY, 16.0)
+    assert curve.values[1] == sweep(f, psiX, psiY, [16.0]).values[0]
     assert curve.exclusions == ((2.0, "functionals are defined for t > 2, got t=2.0"),)
 
     # an infinite X norm fails the sweep before its first time; it is still taken once
@@ -250,10 +260,6 @@ def test_sweep_takes_the_x_norm_once(single, sweep, monkeypatch):
     with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
         sweep(f, psiX, psiY, t_grid)
     assert calls == [psiX]
-    with pytest.raises(ValueError, match="defined for t > 2"):  # the time is checked first
-        single(f, psiX, psiY, 2.0)
-    with pytest.raises(ValueError, match=r"f is not in X \(infinite norm\)"):
-        single(f, psiX, psiY, 16.0)
 
 
 @pytest.mark.parametrize("sweep, psiX, psiY, message", [
@@ -270,27 +276,25 @@ def test_sweep_warns_once(sweep, psiX, psiY, message):
         curve = sweep(f, psiX, psiY, [4.0, 16.0, 64.0])
     assert curve.t_grid.size == 3
     assert [str(w.message)[:len(message)] for w in caught] == [message]
+    assert [w.filename for w in caught] == [__file__]  # the warning points at the caller
 
 
-@pytest.mark.parametrize("single, sweep, constant", [
-    (w_sp, w_sp_curve, "K1"), (w_sp, w_sp_curve, "K2"), (v_sr, v_sr_curve, "K")])
-def test_constants_are_checked_once_before_the_first_time(single, sweep, constant, monkeypatch):
+@pytest.mark.parametrize("sweep, constant", [
+    (w_sp_curve, "K1"), (w_sp_curve, "K2"), (v_sr_curve, "K")])
+def test_constants_are_checked_once_before_the_first_time(sweep, constant, monkeypatch):
     _, f, psiX, psiY = _sp_setup()
     monkeypatch.setattr(functionals, "propagate", lambda *a: pytest.fail("propagated"))
     for value in (0.0, -1.0, INF):
         with pytest.raises(ValueError, match="positive and finite"):
             sweep(f, psiX, psiY, [4.0, 16.0, 64.0], **{constant: value})
-        with pytest.raises(ValueError, match="positive and finite"):
-            single(f, psiX, psiY, 16.0, **{constant: value})
 
 
 def test_zero_datum_has_zero_norm_in_x():
     _, f, psiX, psiY = _sp_setup()
     zero = f + (-1.0) * f
-    for call in (lambda: w_sp(zero, psiX, psiY, 16.0), lambda: w_sp_curve(zero, psiX, psiY, [16.0]),
-                 lambda: v_sr(zero, psiX, psiY, 16.0)):
+    for sweep in (w_sp_curve, v_sr_curve):
         with pytest.raises(ValueError, match="f has zero norm in X"):
-            call()
+            sweep(zero, psiX, psiY, [16.0])
 
 
 def test_sweep_takes_few_moment_profile_exponents(monkeypatch, tmp_path):
@@ -326,7 +330,7 @@ def test_curve_fit_matches_closed_form_slope():
     _, f, psiX, psiY = _sr_setup()
     curve = v_sr_curve(f, psiX, psiY, np.geomspace(16.0, 256.0, 7))
     # closed form tends to a constant, so the fitted slope is ~0
-    assert abs(curve.fit().slope) < 5e-3
+    assert abs(fit_rate(curve.t_grid, curve.values).slope) < 5e-3
 
 
 # -------------------------------------------------------------- mixed_norm
@@ -360,7 +364,7 @@ def test_mixed_norm_sup_variant():
 def test_mixed_norm_gls_weight():
     t = np.linspace(0.1, 1.0, 64)
     y = np.full_like(t, 1.0)
-    got = mixed_norm(t, y, PsiSpec.constant(1.0, 1.5, 4.0))
+    got = mixed_norm(t, y, PsiSpec.table({1.5: 1.0, 4.0: 1.0}))
     # sup over q of (0.9)^{1/q}: approached at q -> 4
     assert got == pytest.approx(0.9 ** 0.25, rel=1e-3)
 

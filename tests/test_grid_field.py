@@ -11,7 +11,6 @@ from strichartz_gls import (
     GaussianSpec,
     GridFunction,
     box_indicator,
-    box_measure,
     gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
@@ -88,8 +87,7 @@ def test_gaussian_2d_mass():
 def test_indicator_norms_exact():
     g = make_grid(1, 32.0, 1024)  # h = 0.0625, 8 nodes -> measure 0.5
     f = box_indicator(g, 8)
-    delta = box_measure(g, 8)
-    assert delta == 0.5
+    delta = 0.5
     assert lp_norm(f, 2.0) == pytest.approx(0.5 ** 0.5, rel=1e-14)
     for p in (1.0, 3.0, 7.5):
         assert lp_norm(f, p) == pytest.approx(delta ** (1.0 / p), rel=1e-14)
@@ -139,10 +137,9 @@ def test_moment_profile_indicator_law():
     g = make_grid(1, 32.0, 1024)
     f = box_indicator(g, 8)
     p = [1.0, 2.0, 4.0, INF]
-    prof = moment_profile(f, p, "indicator")
+    prof = moment_profile(f, p)
     expected = [0.5, 0.5 ** 0.5, 0.5 ** 0.25, 1.0]
     assert np.allclose(prof.values, expected, rtol=1e-14)
-    assert prof.provenance == "indicator"
 
 
 def test_moment_profile_gaussian_values():

@@ -12,7 +12,6 @@ from strichartz_gls import (
     PsiSpec,
     ZetaParams,
     box_indicator,
-    box_measure,
     exponent_grid,
     fundamental_asymptotic,
     fundamental_gls,
@@ -22,7 +21,6 @@ from strichartz_gls import (
     mixed_norm,
     moment_profile,
     space_norm,
-    space_profile,
     zeta_crossover,
     zeta_eval,
 )
@@ -69,6 +67,14 @@ def test_crossover_rejects_bad_interval():
         zeta_crossover(1.0, 1.0, 1.0, 1.0)
 
 
+def test_crossover_overflow_is_a_value_error():
+    # (b - a)^500 = 4.5^500 overflows a float at the left end of the bracket
+    with pytest.raises(ValueError, match=r"crossover equation overflows on \(1\.5, 6\.0\)"):
+        zeta_crossover(1.5, 6.0, 1.0, 500.0)
+    with pytest.raises(ValueError, match="overflows"):
+        PsiSpec.zeta(1.5, 6.0, 1.0, 500.0)
+
+
 def test_zeta_eval_values():
     zp = ZetaParams(1.0, 3.0, 1.0, 1.0)
     assert zp.crossover == pytest.approx(2.0)
@@ -105,7 +111,7 @@ def test_gls_norm_gaussian_exact_channel():
     # attained at p -> 1.5 for a standard gaussian
     g = make_grid(1, 40.0, 1024)
     f = gaussian_sample(g, GaussianSpec(1.0, 1))
-    psi = PsiSpec.constant(1.0, 1.5, 4.0)
+    psi = PsiSpec.table({1.5: 1.0, 4.0: 1.0})
     val = space_norm(f, psi)
     # |g|_{1.5} = (2 pi)^{-1/6} 1.5^{-1/3}
     expected = (2 * math.pi) ** (-0.5 * (1 - 1 / 1.5)) * 1.5 ** (-1.0 / 3.0)
@@ -116,8 +122,7 @@ def test_gls_norm_gaussian_exact_channel():
 def test_gls_norm_indicator():
     g = make_grid(1, 32.0, 1024)
     f = box_indicator(g, 4)
-    assert box_measure(g, 4) == 0.25
-    psi = PsiSpec.constant(1.0, 1.5, 4.0)
+    psi = PsiSpec.table({1.5: 1.0, 4.0: 1.0})
     # sup of delta^{1/p} over (1.5, 4) at delta = 1/4 is at p = 4
     assert space_norm(f, psi) == pytest.approx(0.25 ** 0.25, rel=1e-4)
 
@@ -177,8 +182,8 @@ def test_gls_norm_monotone_in_psi():
     # pointwise larger psi gives a smaller norm
     g = make_grid(1, 32.0, 512)
     f = box_indicator(g, 16)
-    lo = PsiSpec.constant(1.0, 1.5, 4.0)
-    hi = PsiSpec.constant(2.0, 1.5, 4.0)
+    lo = PsiSpec.table({1.5: 1.0, 4.0: 1.0})
+    hi = PsiSpec.table({1.5: 2.0, 4.0: 2.0})
     assert space_norm(f, hi) == pytest.approx(0.5 * space_norm(f, lo), rel=1e-9)
 
 
@@ -195,22 +200,18 @@ FROZEN_FUNDAMENTAL = [
 @pytest.mark.parametrize("a,b,al,be,delta,value", FROZEN_FUNDAMENTAL)
 def test_fundamental_frozen_values(a, b, al, be, delta, value):
     psi = PsiSpec.zeta(a, b, al, be)
-    fv = fundamental_gls(psi, delta)
-    assert fv.value == pytest.approx(value, rel=1e-9)
-    assert fv.method == "numeric-sup"
+    assert fundamental_gls(psi, delta) == pytest.approx(value, rel=1e-9)
 
 
 def test_fundamental_degenerate_closed_form():
     psi = PsiSpec.degenerate(2.0)
-    fv = fundamental_gls(psi, 0.09)
-    assert fv.value == pytest.approx(0.3, rel=0)
-    assert fv.method == "numeric-sup"
+    assert fundamental_gls(psi, 0.09) == pytest.approx(0.3, rel=0)
 
 
 def test_fundamental_monotone_in_delta():
     psi = PsiSpec.zeta(1.0, 2.0, 1.0, 1.0)
     deltas = np.geomspace(1e-8, 1e4, 25)
-    vals = [fundamental_gls(psi, d).value for d in deltas]
+    vals = [fundamental_gls(psi, d) for d in deltas]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -223,11 +224,11 @@ def test_fundamental_monotone_in_delta():
 ], ids=["zeta-finite-b", "table", "zeta-infinite-b"])
 def test_fundamental_builds_a_finite_b_grid_once(make_psi, builds, monkeypatch):
     deltas = np.geomspace(1e-6, 1e4, 7)
-    fresh = [fundamental_gls(make_psi(), d).value for d in deltas]
+    fresh = [fundamental_gls(make_psi(), d) for d in deltas]
     grid, calls = spaces.exponent_grid, []
     monkeypatch.setattr(spaces, "exponent_grid", lambda *a, **k: calls.append(a) or grid(*a, **k))
     psi = make_psi()
-    assert [fundamental_gls(psi, d).value for d in deltas] == fresh
+    assert [fundamental_gls(psi, d) for d in deltas] == fresh
     assert len(calls) == builds
 
 
@@ -249,9 +250,8 @@ def test_asymptotic_small_delta_finite_b():
     for d in deltas:
         asym = pref * d ** (1.0 / b) * abs(math.log(d)) ** (-beta)
         fv = fundamental_asymptotic(zp, d, regime="small")
-        assert fv.value == pytest.approx(asym, rel=1e-12)
-        assert fv.method == "asymptotic-small-finite-b"
-        ratios.append(fundamental_gls(psi, d).value / fv.value)
+        assert fv == pytest.approx(asym, rel=1e-12)
+        ratios.append(fundamental_gls(psi, d) / fv)
     # relative drift between consecutive delta decades shrinks below 10%
     drifts = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
     assert all(d2 < d1 for d1, d2 in zip(drifts, drifts[1:]))
@@ -262,11 +262,10 @@ def test_asymptotic_small_delta_infinite_b():
     psi = PsiSpec.zeta(1.0, INF, 1.0, -1.0)
     zp = ZetaParams(1.0, INF, 1.0, -1.0)
     fv = fundamental_asymptotic(zp, 1e-8, regime="small")
-    assert fv.method == "asymptotic-small-infinite-b"
     # |beta|^{|beta|} |log delta|^{-|beta|} with beta = -1
-    assert fv.value == pytest.approx(1.0 / abs(math.log(1e-8)), rel=1e-12)
+    assert fv == pytest.approx(1.0 / abs(math.log(1e-8)), rel=1e-12)
     ratios = [
-        fundamental_gls(psi, d).value / fundamental_asymptotic(zp, d, regime="small").value
+        fundamental_gls(psi, d) / fundamental_asymptotic(zp, d, regime="small")
         for d in (1e-8, 1e-12, 1e-16)
     ]
     drifts = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
@@ -279,10 +278,9 @@ def test_asymptotic_large_delta():
     a, alpha = 1.0, 1.0
     pref = (a * a * alpha / math.e) ** alpha
     fv = fundamental_asymptotic(zp, 1e6, regime="large")
-    assert fv.method == "asymptotic-large"
-    assert fv.value == pytest.approx(pref * 1e6 * math.log(1e6) ** -1.0, rel=1e-12)
+    assert fv == pytest.approx(pref * 1e6 * math.log(1e6) ** -1.0, rel=1e-12)
     ratios = [
-        fundamental_gls(psi, d).value / fundamental_asymptotic(zp, d, regime="large").value
+        fundamental_gls(psi, d) / fundamental_asymptotic(zp, d, regime="large")
         for d in (1e6, 1e9, 1e12)
     ]
     drifts = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
@@ -293,8 +291,8 @@ def test_asymptotic_large_delta_worked_value():
     zp = ZetaParams(2.0, INF, 1.0, -1.0)
     fv = fundamental_asymptotic(zp, math.exp(20.0), regime="large")
     # (a^2 alpha / e)^alpha delta^{1/a} (log delta)^{-a} at delta = e^20
-    assert fv.value == pytest.approx((4.0 / math.e) * math.exp(10.0) / 400.0, rel=1e-12)
-    assert fv.value == pytest.approx(81.03083927575385, rel=1e-12)
+    assert fv == pytest.approx((4.0 / math.e) * math.exp(10.0) / 400.0, rel=1e-12)
+    assert fv == pytest.approx(81.03083927575385, rel=1e-12)
 
 
 def test_asymptotic_regime_guards():
@@ -308,6 +306,9 @@ def test_asymptotic_regime_guards():
     with pytest.raises(ValueError):
         # finite b has no large-delta closed form
         fundamental_asymptotic(zp, 1e6, regime="large")
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            fundamental_asymptotic(zp, delta, regime="small")
 
 
 def test_moment_norm_consistency():
@@ -394,7 +395,7 @@ def test_space_norm_matches_full_profile_sup(name, data):
     f = {"gaussian": gaussian_sample(g, GaussianSpec(1.0, 1)),
          "indicator": box_indicator(g, 16),
          "zero": GridFunction(g, np.zeros(1024))}[data]
-    want = gls_norm(space_profile(f, psi), psi)
+    want = gls_norm(moment_profile(f, psi.samples[0]), psi)
     got = space_norm(f, psi)
     if data == "zero":
         assert got == want == 0.0
@@ -420,6 +421,6 @@ def test_extreme_zeta_weights_raise_no_warning(psi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for delta in (1e-8, 0.5, 1e4):
-            assert fundamental_gls(psi, delta).value > 0
+            assert fundamental_gls(psi, delta) > 0
         assert math.isfinite(space_norm(f, psi))
         assert math.isfinite(mixed_norm(t, t / (1.0 + t), psi))

@@ -145,7 +145,7 @@ def test_sr_witness_guards():
 
 
 def test_moment_law_check_rows():
-    rows = gaussian_moment_law_check(1, [2.0, 4.0, INF], SR_TIMES, SR_GRID)
+    rows = gaussian_moment_law_check([2.0, 4.0, INF], SR_TIMES, SR_GRID)
     assert len(rows) == 3
     for r, fitted, predicted in rows:
         inv_r = 0.0 if r == INF else 1.0 / r
@@ -155,9 +155,7 @@ def test_moment_law_check_rows():
 
 def test_moment_law_check_guards():
     with pytest.raises(ValueError):
-        gaussian_moment_law_check(1, [1.0], SR_TIMES, SR_GRID)
-    with pytest.raises(ValueError):
-        gaussian_moment_law_check(2, [2.0], SR_TIMES, SR_GRID)
+        gaussian_moment_law_check([1.0], SR_TIMES, SR_GRID)
 
 
 # Gaussian witnesses in d = 2, 3.  Under the Schrodinger flow the unit
@@ -182,7 +180,7 @@ def test_moment_law_d3_matches_closed_form_slopes():
     # over t in (2, 4) the slope is still far from -d(1/2 - 1/r), so the
     # fitted slope is compared with the fit of the exact norms at those times
     t = np.array([2.5, 2.9, 3.3, 3.8])
-    rows = gaussian_moment_law_check(3, [4.0, INF], t, make_grid(3, 24.0, 128))
+    rows = gaussian_moment_law_check([4.0, INF], t, make_grid(3, 24.0, 128))
     for r, fitted, _ in rows:
         exact = fit_rate(t, [gaussian_lp_exact(1.0 + 1j * ti, 3, r) for ti in t]).slope
         assert abs(fitted - exact) < GAP_TOL * abs(exact)
@@ -195,7 +193,7 @@ def test_moment_law_holds_one_evolved_field_at_a_time():
     def peak(t_grid):
         tracemalloc.start()
         try:
-            gaussian_moment_law_check(2, [2.0, 4.0, INF], t_grid, grid)
+            gaussian_moment_law_check([2.0, 4.0, INF], t_grid, grid)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -206,7 +204,7 @@ def test_moment_law_holds_one_evolved_field_at_a_time():
 
 @pytest.mark.parametrize("run", [
     lambda g, t: sr_witness(t, g),
-    lambda g, t: gaussian_moment_law_check(3, [2.0, 4.0, INF], t, g),
+    lambda g, t: gaussian_moment_law_check([2.0, 4.0, INF], t, g),
 ], ids=["sr_witness", "moment_law"])
 def test_witness_drops_each_evolved_field_before_the_next(run):
     grid = make_grid(3, 24.0, 64)
