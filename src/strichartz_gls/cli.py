@@ -410,7 +410,8 @@ def _run_mixed_norm(cfg):
                           f"got {t_min:g} >= {t_max:g}")
     count = curve.integer("count", 2048, least=MIN_CURVE_SAMPLES, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
-    value = mixed_norm(t, coef * t ** power, theta)
+    with np.errstate(over="ignore"):  # a steep curve overflows to inf, which is its value
+        value = mixed_norm(t, coef * t ** power, theta)
     return None, [], {"value": ("inf" if value == INF else value), "finite": bool(value != INF)}
 
 

@@ -7,6 +7,7 @@ at the diffusive scale t^(d/2).  The dispersive (group) functional uses
 t^(-d/2) ||U_t f||_Y / (||f||_X phi(X, K t^-d)); a switch selects the
 alternative phi(X, t^(d/2)) normalization.  Each functional is its curve
 over a time grid (w_sp_curve, v_sr_curve); a single time is a one-time grid.
+A sweep checks its inputs once, up front, and returns a plain FunctionalCurve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .grid_field import INF, GridFunction, moment_profile
 from .propagators import HEAT, SCHRODINGER, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
-from .spaces import PsiSpec, _check_covered, _gls_sup, fundamental_gls
+from .spaces import PsiSpec, _gls_sup, fundamental_gls
 
 __all__ = [
     "FunctionalCurve",
@@ -58,40 +59,31 @@ def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
 
 @dataclass(frozen=True)
 class FunctionalCurve:
-    """Sampled functional (or norm-ratio) values over a time grid."""
+    """A functional's finite positive values at the increasing times t > 2 it kept, and
+    (t, reason) for each time it excluded: a plain record, built by _sweep alone."""
 
     t_grid: np.ndarray
     values: np.ndarray
     exclusions: tuple = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.size != v.size:
-            raise ValueError("t_grid and values length mismatch")
-        if (t[1:] <= t[:-1]).any():
-            raise ValueError("t_grid must be strictly increasing")
-        if not (t > 2).all():
-            raise ValueError("all times must exceed 2")
-        if not (np.isfinite(v) & (v > 0)).all():
-            raise ValueError("curve values must be finite and positive")
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "values", v)
-
 
 def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
-    """at(t, ||f||_X) at each time t > 2, a ValueError excluding its time.  The weights
-    and ||f||_X do not depend on t, so an uncovered weight or an f with no finite
-    nonzero norm in X raises once, before the first time."""
+    """at(t, ||f||_X) at each time t > 2 of a strictly increasing grid, a ValueError
+    excluding its time.  The weights, the grid and ||f||_X do not depend on t, so an
+    uncovered weight (PsiSpec.samples raises), a grid that does not increase or an f
+    with no finite nonzero norm in X raises once, before the first time."""
     for psi in (psiX, psiY):
-        _check_covered(psi)
+        psi.samples  # raises for an uncovered weight
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid[1:] <= t_grid[:-1]).any():
+        raise ValueError("t_grid must be strictly increasing")
     norm_x = space_norm(f, psiX)
     if norm_x == INF:
         raise ValueError("f is not in X (infinite norm)")
     if norm_x == 0.0:
         raise ValueError("f has zero norm in X")
     ts, vals, excl = [], [], []
-    for t in np.asarray(t_grid, dtype=float).tolist():
+    for t in t_grid.tolist():
         try:
             if not t > 2:
                 raise ValueError(f"functionals are defined for t > 2, got t={t}")
@@ -183,7 +175,8 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
             return float(y.max())
         if slope0 * q <= -1.0 + 1e-9:
             return INF
-        return float(np.trapezoid(y ** q, t)) ** (1.0 / q)
+        with np.errstate(over="ignore"):  # an overflowing integrand diverges: inf
+            return float(np.trapezoid(y ** q, t)) ** (1.0 / q)
 
     return _gls_sup(lambda qs: np.array([h(qi) for qi in qs.tolist()]), theta)
 
@@ -194,7 +187,6 @@ class PredictedRate:
 
     power: float
     log_power: float
-    source: str
 
 
 def predicted_rate(source: str, **params) -> PredictedRate:
@@ -220,14 +212,14 @@ def predicted_rate(source: str, **params) -> PredictedRate:
         elif not 1 <= a1 < a2:
             raise ValueError("need 1 <= a1 < a2")
         power = -(d / 2.0) * (1.0 / a1 - 1.0 / a2)
-        return PredictedRate(power, params.get("alpha2", 0.0) - params.get("alpha1", 0.0), source)
+        return PredictedRate(power, params.get("alpha2", 0.0) - params.get("alpha1", 0.0))
     if source == "schrodinger-zeta":
         b1 = params["b1"]
         if not 1 < b1 <= 2:
             raise ValueError("need 1 < b1 <= 2")
         b1c = b1 / (b1 - 1.0)
         power = d / 2.0 - d / b1c
-        return PredictedRate(power, -params.get("beta1", 0.0), source)
+        return PredictedRate(power, -params.get("beta1", 0.0))
     if source in ("fractional", "fractional-laplacian"):
         alpha, p, r = params["alpha"], params["p"], params["r"]
         if not 0 < alpha <= 2:
@@ -237,17 +229,17 @@ def predicted_rate(source: str, **params) -> PredictedRate:
         power = (d / alpha) * (1.0 / r - 1.0 / p)
         if source == "fractional-laplacian":
             power -= 1.0 / alpha
-        return PredictedRate(power, 0.0, source)
+        return PredictedRate(power, 0.0)
     if source == "heat-lp":
         p, r = params["p"], params["r"]
         if not (p >= 1 and r > p):
             raise ValueError("need r > p >= 1")
-        return PredictedRate((d / 2.0) * (1.0 / r - 1.0 / p), 0.0, source)
+        return PredictedRate((d / 2.0) * (1.0 / r - 1.0 / p), 0.0)
     if source == "schrodinger-lp":
         p = params["p"]
         if not p >= 2:
             raise ValueError("need p >= 2")
-        return PredictedRate(d * (1.0 / p - 0.5), 0.0, source)
+        return PredictedRate(d * (1.0 / p - 0.5), 0.0)
     raise ValueError(f"unknown predicted-rate source {source!r}")
 
 
@@ -259,7 +251,6 @@ class RateFit:
     log_exponent: float
     intercept: float
     residual: float
-    window: tuple
     n_samples: int
 
 
@@ -287,6 +278,5 @@ def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:
         log_exponent=gamma,
         intercept=float(coef[0]),
         residual=resid,
-        window=(float(t[0]), float(t[-1])),
         n_samples=int(t.size),
     )

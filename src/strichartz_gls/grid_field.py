@@ -6,6 +6,7 @@ for node-aligned indicators and spectrally accurate for smooth functions
 that decay inside the box.  A field given by one-axis factors f_j has its
 norms and its finiteness taken from them, never from its N^d values:
 |f|_p^p = h^d prod_j sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|.
+moment_profile checks its exponents; the MomentProfile it returns is plain data.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ class GridFunction:
         self._check_same_grid(other)
         return GridFunction(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
-
     def __mul__(self, c) -> "GridFunction":
         return GridFunction(self.grid, self.values * complex(c))
 
@@ -276,26 +273,11 @@ def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """The moment function h(p) = |f|_p sampled on an increasing exponent grid."""
+    """The moment function h(p) = |f|_p >= 0 at each exponent of a strictly increasing
+    grid: a plain record, checked by moment_profile, its producer."""
 
     p_grid: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if p.size == 0:
-            raise ValueError("empty exponent grid")
-        if p.size != v.size:
-            raise ValueError("p_grid and values length mismatch")
-        if np.any(np.diff(p) <= 0):
-            raise ValueError("p_grid must be strictly increasing")
-        if not np.all(p >= 1):
-            raise ValueError("all exponents must be >= 1")
-        if np.any(v < 0):
-            raise ValueError("moment values must be nonnegative")
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", v)
 
 
 def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:
@@ -331,7 +313,8 @@ def _power_sum(v: np.ndarray, p: np.ndarray) -> tuple:
 
 
 def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
-    """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid.
+    """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid; an
+    empty grid, an exponent below 1 or a grid that does not increase is rejected.
 
     The max of |f| is factored out of every finite-p sum to avoid overflow.
     Max and sums are products over the parts of f, its factors or values
@@ -340,9 +323,11 @@ def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     p = np.asarray(list(p_grid), dtype=float)
     if p.size == 0:
         raise ValueError("empty exponent grid")
-    for pi in p:
-        if not pi >= 1:
-            raise ValueError(f"exponent must satisfy p >= 1, got {pi}")
+    below = ~(p >= 1)  # NaN included
+    if below.any():
+        raise ValueError(f"exponent must satisfy p >= 1, got {p[below][0]}")
+    if (p[1:] <= p[:-1]).any():  # not np.diff: inf - inf would pass a repeated inf
+        raise ValueError("p_grid must be strictly increasing")
     finite = p[p != INF]
     arrays = f.factors or (f.values,)
     if finite.size > 1:

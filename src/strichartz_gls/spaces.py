@@ -4,7 +4,8 @@ fundamental functions.
 A weight psi lives on an exponent interval (a, b), 1 <= a < b <= inf, is
 positive and continuous there, and bounded away from zero.  The norm of a
 moment profile h is sup_p h(p)/psi(p); the fundamental function at delta
-is sup_p delta^(1/p)/psi(p).
+is sup_p delta^(1/p)/psi(p).  PsiSpec.samples builds the exponents a norm
+samples, once per weight, and checks there that they cover (a, b).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
         fun = lambda h: (h - a) ** alpha - h ** beta
         lo = a + CROSSOVER_TOL
         hi = a + 1.0
+        if hi == a:  # the root lies below a + 1, as (h - a)^alpha = h^beta < 1 there
+            raise ValueError(f"crossover lies within one float spacing of a = {a:g}")
         while fun(hi) < 0:
             hi = a + 2.0 * (hi - a)
     else:
@@ -190,10 +193,13 @@ class PsiSpec:
     @cached_property
     def samples(self) -> tuple:
         """(exponents, weights) that a norm weighted by psi takes its sup over, built at
-        first use and kept read-only: ([s], [1.0]) for a degenerate weight."""
+        first use and kept read-only: ([s], [1.0]) for a degenerate weight.  Raises
+        CoverageError, at every use, when the exponents do not cover (a, b)."""
         p = (np.array([self.s]) if self.variant == "degenerate" else
              exponent_grid(self.a, self.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET))
         w = self.psi(p)
+        if self.variant != "degenerate":
+            _check_coverage(p, self.a, self.b)
         p.flags.writeable = w.flags.writeable = False
         return p, w
 
@@ -223,16 +229,13 @@ def exponent_grid(
     """
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if b == INF:
-        cap = p_cap if p_cap is not None else max(100.0, 8.0 * a)
-        span = cap - a
-        n = max(64, int(per_decade * math.log10(span / min_offset)) + 1)
-        pts = a + np.geomspace(min_offset, span, n)
-    else:
-        half = 0.5 * (b - a)
-        n = max(32, int(per_decade * math.log10(half / min_offset)) + 1)
-        off = np.geomspace(min_offset, half, n)
-        pts = np.concatenate([a + off, b - off])
+    span = ((p_cap if p_cap is not None else max(100.0, 8.0 * a)) - a if b == INF
+            else 0.5 * (b - a))
+    if not span / min_offset < INF:
+        raise ValueError(f"({a:g}, {b:g}) is too wide to grid: offsets reach {span:g}")
+    n = max(64 if b == INF else 32, int(per_decade * math.log10(span / min_offset)) + 1)
+    off = np.geomspace(min_offset, span, n)
+    pts = a + off if b == INF else np.concatenate([a + off, b - off])
     # an offset finer than the float spacing near a or b rounds onto the endpoint
     pts = np.unique(pts)
     return pts[(pts > a) & (pts < b)]
@@ -249,12 +252,6 @@ def _check_coverage(p_inside: np.ndarray, a: float, b: float):
     if not (p_inside.size >= 64 and p_inside[0] - a <= 0.05 * span
             and (b == INF or b - p_inside[-1] <= 0.05 * span)):
         raise CoverageError(f"profile grid does not cover ({a}, {b}) densely enough")
-
-
-def _check_covered(psi: PsiSpec):
-    """Raise unless the exponents psi samples cover its interval (a degenerate psi does)."""
-    if psi.variant != "degenerate":
-        _check_coverage(psi.samples[0], psi.a, psi.b)
 
 
 def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
@@ -287,11 +284,10 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
 
 def _gls_sup(h_at: Callable[[np.ndarray], np.ndarray], psi: PsiSpec) -> float:
     """sup_p h(p)/psi(p) over the exponents psi samples, h_at mapping an increasing
-    subset of them to h; a non-degenerate psi must cover its interval.  A degenerate
-    psi is 1 at its one exponent s, so its sup is h(s) >= 0, with nothing to prune."""
+    subset of them to h.  A degenerate psi is 1 at its one exponent s, so its sup is
+    h(s) >= 0, with nothing to prune."""
     if psi.variant == "degenerate":
         return float(h_at(psi.samples[0])[0])
-    _check_covered(psi)
     return _bounded_sup(h_at, *psi.samples)
 
 

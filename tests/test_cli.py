@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +228,38 @@ def test_mixed_norm_uncovered_theta_exit_code(tmp_path, capsys):
     assert "does not cover (1.0, 1.01)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", [{"variant": "degenerate", "s": 2.0},
+                                   {"variant": "table", "points": {"1.5": 1.0, "3.0": 2.0}}],
+                         ids=["L_2", "table"])
+def test_mixed_norm_steep_curve_is_infinite_without_warning(theta, tmp_path):
+    # t^-400 overflows near t_min; the time integral diverges, so its norm is inf, and no
+    # RuntimeWarning (an error in these tests) is raised on the way
+    cfg = json.loads((CONFIG_DIR / "mixed_norm.json").read_text())
+    cfg["theta"], cfg["curve"] = theta, {"power": -400, "t_max": 1.0}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 0
+    data = json.loads((tmp_path / "out" / "mixed_norm_summary.json").read_text())
+    assert data["finite"] is False and data["value"] == "inf"
+
+
+def test_zeta_crossover_within_a_float_spacing_of_a_is_a_config_fault(tmp_path):
+    # a + 1 rounds to a = 1e17, so the crossover's bracket [a, a + 1] cannot grow: the
+    # run must end (in a subprocess, so that a hang fails this test instead of the suite)
+    cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())
+    cfg["psi"] = {"variant": "zeta", "a": 1e17, "b": "inf", "alpha": 1, "beta": -1}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "strichartz_gls.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: invalid psi: crossover lies within")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config, field, points", [
     ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
     ("functional_sweep_sp.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
@@ -386,6 +421,11 @@ CONFIG_FAULTS = [
     ("norms_gaussian", ("p_grid",), {"a": 3, "b": 2}, "p_grid"),
     ("norms_gaussian", ("p_grid",), [0.5], "p_grid"),
     ("norms_gaussian", ("p_grid",), [2, 1], "p_grid"),
+    # a repeated inf used to pass with a RuntimeWarning (inf - inf) and write two rows
+    ("norms_gaussian", ("p_grid",), [1, "inf", "inf"], "p_grid"),
+    # the grid's decade count overflows (a default cap of 8a = inf): it used to exit 2
+    ("norms_gaussian", ("p_grid",), {"a": 1e308, "b": "inf"}, "p_grid"),
+    ("norms_gaussian", ("p_grid",), {"a": 1, "b": 1e308}, "p_grid"),
     ("fundamental_zeta", ("deltas",), [-1], "deltas.0"),
     ("fundamental_zeta", ("deltas",), [1e-6, 0], "deltas.1"),
     # the crossover of this weight overflows: it used to exit 2 naming no field

@@ -289,6 +289,29 @@ def test_constants_are_checked_once_before_the_first_time(sweep, constant, monke
             sweep(f, psiX, psiY, [4.0, 16.0, 64.0], **{constant: value})
 
 
+@pytest.mark.parametrize("sweep", [w_sp_curve, v_sr_curve], ids=["SP", "SR"])
+def test_sweep_checks_its_time_grid_before_the_x_norm(sweep, monkeypatch):
+    # a grid that does not increase is rejected up front, even where its out-of-order
+    # time (1.0 here) would have been excluded
+    _, f, psiX, psiY = _sp_setup()
+    monkeypatch.setattr(functionals, "space_norm", lambda *a: pytest.fail("took the X norm"))
+    for t_grid in ([16.0, 4.0], [16.0, 1.0], [4.0, 4.0]):
+        with pytest.raises(ValueError, match="t_grid must be strictly increasing"):
+            sweep(f, psiX, psiY, t_grid)
+
+
+@pytest.mark.parametrize("sweep", [w_sp_curve, v_sr_curve], ids=["SP", "SR"])
+def test_sweep_rejects_an_uncovered_weight_before_the_first_time(sweep, monkeypatch):
+    _, f, psiX, psiY = _sp_setup()
+    monkeypatch.setattr(functionals, "propagate", lambda *a: pytest.fail("propagated"))
+    narrow_x = PsiSpec.table({1.5: 1.0, 1.51: 1.0})
+    narrow_y = PsiSpec.table({3.0: 1.0, 3.01: 1.0})
+    # X is read first, so with both uncovered X is the one named
+    for X, Y, lo in ((narrow_x, psiY, "1.5"), (psiX, narrow_y, "3.0"), (narrow_x, narrow_y, "1.5")):
+        with pytest.raises(spaces.CoverageError, match=rf"does not cover \({lo}, "):
+            sweep(f, X, Y, [4.0, 16.0])
+
+
 def test_zero_datum_has_zero_norm_in_x():
     _, f, psiX, psiY = _sp_setup()
     zero = f + (-1.0) * f

@@ -19,6 +19,7 @@ from strichartz_gls import (
     periodic_convolve,
     propagate,
 )
+from strichartz_gls import grid_field
 from strichartz_gls.spaces import exponent_grid
 
 
@@ -208,6 +209,19 @@ def test_moment_profile_rejects_bad_grids():
         moment_profile(f, [2.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         moment_profile(f, [0.5, 2.0])
+
+
+def test_moment_profile_checks_its_grid_before_any_sum(monkeypatch):
+    # each check runs on the grid as given, before a power sum is taken
+    f = box_indicator(make_grid(1, 32.0, 64), 4)
+    for name in ("_power_sums", "_power_sum"):
+        monkeypatch.setattr(grid_field, name, lambda *a: pytest.fail("summed"))
+    for p_grid, message in [([], "empty exponent grid"), ([2.0, 0.5], r"p >= 1, got 0\.5$"),
+                            ([2.0, math.nan], "p >= 1, got nan"), ([3.0, 2.0], "strictly"),
+                            ([2.0, INF, 3.0], "strictly"), ([1.0, 1.0], "strictly"),
+                            ([1.0, INF, INF], "strictly")]:
+        with pytest.raises(ValueError, match=message):
+            moment_profile(f, p_grid)
 
 
 def _random_function(rng, grid):

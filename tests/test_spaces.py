@@ -25,7 +25,7 @@ from strichartz_gls import (
     zeta_eval,
 )
 from strichartz_gls import spaces
-from strichartz_gls.spaces import _bounded_sup, _weighted_sup
+from strichartz_gls.spaces import CoverageError, _bounded_sup, _weighted_sup
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -104,6 +104,22 @@ def test_exponent_grid_coverage():
     # at least 64 points per decade of offset from the left endpoint
     decades = math.log10((p[-1] - 1.0) / (p[0] - 1.0))
     assert len(p) >= 64 * decades
+
+
+@pytest.mark.parametrize("a, b", [(1e308, INF), (1e307, INF), (1.0, 1e308)])
+def test_exponent_grid_too_wide_is_a_value_error(a, b):
+    # the cap 8a (or the span / min_offset) overflows: this used to raise OverflowError
+    with pytest.raises(ValueError, match="too wide to grid"):
+        exponent_grid(a, b)
+
+
+def test_samples_reject_an_uncovered_weight_at_every_use():
+    psi = PsiSpec.table({1.0: 1.0, 1.01: 1.0})
+    for _ in range(2):
+        with pytest.raises(CoverageError, match=r"does not cover \(1\.0, 1\.01\) densely"):
+            psi.samples
+    p, w = PsiSpec.degenerate(1.0).samples
+    assert p.tolist() == [1.0] and w.tolist() == [1.0]
 
 
 def test_gls_norm_gaussian_exact_channel():
@@ -213,6 +229,68 @@ def test_fundamental_monotone_in_delta():
     deltas = np.geomspace(1e-8, 1e4, 25)
     vals = [fundamental_gls(psi, d) for d in deltas]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def _fundamental_exact(psi: PsiSpec, delta: float) -> float:
+    """exp max_p F(p), F(p) = log delta / p - log psi(p), over the candidates of each
+    smooth piece of log psi: its stationary points, its kinks (the crossover or the
+    table knots) and the ends where psi is finite (alpha = 0, beta = 0, a table)."""
+    L = math.log(delta)
+    if psi.variant == "table":  # log psi is linear on each segment: F' = 0 at sqrt(-L / c)
+        p, lv = psi.table_p.tolist(), np.log(psi.table_v).tolist()
+        cands = list(zip(p, lv))
+        for p0, p1, v0, v1 in zip(p, p[1:], lv, lv[1:]):
+            c = (v1 - v0) / (p1 - p0)
+            if c * L < 0 and p0 < (r := math.sqrt(-L / c)) < p1:
+                cands.append((r, v0 + c * (r - p0)))
+        return math.exp(max(L / x - y for x, y in cands))
+    z = psi.zeta_params
+    a, b, al, be, h = z.a, z.b, z.alpha, z.beta, z.crossover
+
+    def below(x):  # log zeta below the crossover
+        return al * math.log(x - a) if al else 0.0
+
+    def above(x):
+        return be * math.log(x if b == INF else b - x) if be else 0.0
+
+    def roots(k, c):  # of k p^2 - L p + L c = 0
+        disc = L * L - 4.0 * k * L * c
+        return [(L + s * math.sqrt(disc)) / (2.0 * k) for s in (1, -1)] if disc >= 0 else []
+
+    cands = [(h, above(h))] + ([(h, below(h))] if h > a else [])  # F = L / p + log zeta
+    cands += [(a, 0.0)] if al == 0 else [(x, below(x)) for x in roots(al, a) if a < x < h]
+    if b == INF:
+        cands += [(x, above(x)) for x in [L / be] if h < x]
+    else:
+        cands += [(b, 0.0)] if be == 0 else [(x, above(x)) for x in roots(be, b) if h < x < b]
+    return math.exp(max(L / x + lz for x, lz in cands))
+
+
+CLOSED_FORM_WEIGHTS = {
+    "zeta-finite-b": PsiSpec.zeta(1.0, 2.0, 1.0, 1.0),
+    "zeta-finite-b-steep": PsiSpec.zeta(1.5, 6.0, 1.0, 2.0),
+    "zeta-finite-b-wide": PsiSpec.zeta(2.0, 4.0, 2.0, 0.5),
+    "zeta-finite-b-alpha0": PsiSpec.zeta(1.0, 3.0, 0.0, 1.0),
+    "zeta-finite-b-beta0": PsiSpec.zeta(1.0, 3.0, 1.0, 0.0),
+    "zeta-infinite-b": PsiSpec.zeta(1.0, INF, 1.0, -1.0),
+    "zeta-infinite-b-a2": PsiSpec.zeta(2.0, INF, 0.5, -2.0),
+    "zeta-infinite-b-alpha2": PsiSpec.zeta(1.5, INF, 2.0, -1.0),
+    "zeta-infinite-b-alpha0": PsiSpec.zeta(1.0, INF, 0.0, -1.0),
+    "table-two-points": PsiSpec.table({1.0: 2.0, 8.0: 1.0}),
+    "table-dip": PsiSpec.table({1.5: 1.0, 2.5: 0.5, 4.0: 2.0}),
+    "table-deep-dip": PsiSpec.table({2.0: 1.0, 3.0: 0.25, 4.0: 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_WEIGHTS)
+def test_fundamental_matches_its_closed_form(name):
+    # the sampled sup with golden-section refinement against the exact sup; it samples
+    # (a, b) only, so it can approach but not exceed the exact value
+    psi = CLOSED_FORM_WEIGHTS[name]
+    for delta in np.geomspace(1e-12, 1e12, 49).tolist():
+        got, exact = fundamental_gls(psi, delta), _fundamental_exact(psi, delta)
+        assert abs(got - exact) <= 1e-10 * exact, (delta, got, exact)
+        assert got <= exact * (1.0 + 1e-13), (delta, got, exact)
 
 
 @pytest.mark.parametrize("make_psi, builds", [
