@@ -6,6 +6,8 @@ for node-aligned indicators and spectrally accurate for smooth functions
 that decay inside the box.  A field given by one-axis factors f_j has its
 norms and its finiteness taken from them, never from its N^d values:
 |f|_p^p = h^d prod_j sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|.
+Its values, the outer product of the factors, are built only for a caller
+that reads nodes (f + g, c * f, spectrum, the propagate CSV).
 moment_profile checks its exponents; the MomentProfile it returns is plain data.
 """
 
@@ -134,42 +136,48 @@ def _tensor_product(factors) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class GridFunction:
-    """Complex-valued samples of f: R^d -> C on a Grid.
+    """Complex-valued samples of f: R^d -> C on a Grid; no attribute is reassigned.
 
     values is held as a read-only view, so the cached spectrum cannot go
     stale through it; an array passed in must not be written afterwards.
 
     A tensor product f(x) = f_1(x_1) ... f_d(x_d) may be given by its
     factors instead of its values: d arrays of N samples, one object
-    serving every axis it is passed for.  values is then their outer
-    product, and propagate transforms the factors, not values.  It is finite
-    if _bounded_product(factors); if not, values is checked node by node.
+    serving every axis it is passed for.  Its norms and propagate read the
+    factors; values, their outer product, is built at its first read and
+    kept.  It is finite if _bounded_product(factors); if not, values is
+    built at once and checked node by node.
     """
 
-    grid: Grid
-    values: Optional[np.ndarray] = None
-    factors: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.factors is not None:
-            if self.values is not None:
+    def __init__(self, grid: Grid, values: Optional[np.ndarray] = None,
+                 factors: Optional[tuple] = None):
+        attrs = vars(self)  # written directly: __setattr__ refuses every name
+        attrs["grid"], attrs["factors"] = grid, factors
+        if factors is None:
+            attrs["values"] = v = _read_only(values)
+            if v.shape != grid.shape:
+                raise ValueError(f"values shape {v.shape} != grid shape {grid.shape}")
+        else:
+            if values is not None:
                 raise ValueError("give values or factors, not both")
-            factors = _map_shared(_read_only, self.factors)
-            if len(factors) != self.grid.dim or any(
-                    v.shape != (self.grid.points_per_axis,) for v in factors):
-                raise ValueError(f"factors must be {self.grid.dim} arrays of "
-                                 f"{self.grid.points_per_axis} samples")
-            object.__setattr__(self, "factors", factors)
-            object.__setattr__(self, "values", _tensor_product(factors))
-        v = _read_only(self.values)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not (self.factors is not None and _bounded_product(self.factors)
-                or np.all(np.isfinite(v))):
+            attrs["factors"] = factors = _map_shared(_read_only, factors)
+            if len(factors) != grid.dim or any(
+                    v.shape != (grid.points_per_axis,) for v in factors):
+                raise ValueError(f"factors must be {grid.dim} arrays of "
+                                 f"{grid.points_per_axis} samples")
+            if _bounded_product(factors):
+                return
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
-        object.__setattr__(self, "values", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name}: a GridFunction is read-only")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The outer product of the factors, built at first read and kept read-only."""
+        return _read_only(_tensor_product(self.factors))
 
     @cached_property
     def spectrum(self) -> np.ndarray:

@@ -16,12 +16,13 @@ is).  A GridFunction given by one-axis factors (the Gaussian and the box
 indicator are) propagates under such a flow factor by factor,
 ifft(m_1 * fft(f_j)) once per distinct factor, into a factored field, with
 the forward transforms cached on f: no N^d transform is taken, and the
-norms of the result are taken from its factors (see grid_field); only its
-values, the outer product of the factors, are N^d.  Every other case
-(fractional orders other than 2 in d >= 2, laplacian_propagate, sums of
-fields, convolutions) multiplies the N^d multiplier into
-GridFunction.spectrum, the cached fftn of f, and takes one inverse fftn,
-in place on the multiplier's buffer when both are complex.
+norms of the result are taken from its factors (see grid_field), so no N^d
+array is built unless a caller reads its values.  At t = 0 a factored f
+gives a field on the same factors.  Every other case (fractional orders
+other than 2 in d >= 2, laplacian_propagate, sums of fields, convolutions)
+multiplies the N^d multiplier into GridFunction.spectrum, the cached fftn
+of f (which builds its values), and takes one inverse fftn, in place on
+the multiplier's buffer when both are complex.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
     if t < 0 and kind.kind != "schrodinger":
         raise ValueError(f"negative time is only legal for schrodinger, got t={t}")
     if t == 0:
-        return GridFunction(f.grid, f.values.copy())
+        return (GridFunction(f.grid, factors=f.factors) if f.factors is not None
+                else GridFunction(f.grid, f.values.copy()))
     m = _axis_symbol(f.grid, kind, t) if f.factors is not None else None
     if m is not None:
         return GridFunction(f.grid, factors=_map_shared(

@@ -72,13 +72,15 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
             if not a < h < b:
                 raise ValueError("no crossover for beta = 0 on this interval")
             return h
-        fun = lambda h: (h - a) ** alpha - (b - h) ** beta
+
+        def fun(h):  # its sign alone is read
+            try:
+                return (h - a) ** alpha - (b - h) ** beta
+            except OverflowError:  # a steep side: compare the two in logs
+                return alpha * math.log(h - a) - beta * math.log(b - h)
         lo, hi = a + CROSSOVER_TOL, b - CROSSOVER_TOL
-        try:  # the bisection stays inside these ends, so only they can overflow
-            if fun(lo) > 0 or fun(hi) < 0:
-                raise ValueError("crossover equation has no root on (a, b)")
-        except OverflowError as e:
-            raise ValueError(f"crossover equation overflows on ({a}, {b}): {e}") from e
+        if fun(lo) > 0 or fun(hi) < 0:
+            raise ValueError("crossover equation has no root on (a, b)")
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats spaced wider than the tolerance
@@ -117,15 +119,22 @@ def _check_inside(p, a: float, b: float):
         raise ValueError(f"p = {hi if a < lo else lo} outside ({a}, {b})")
 
 
+def _zeta_at(params: ZetaParams, p: float) -> float:
+    """zeta at one exponent p, unchecked: p must lie in (a, b)."""
+    if p < params.crossover:
+        return (p - params.a) ** params.alpha
+    return (p if params.b == INF else params.b - p) ** params.beta
+
+
 def zeta_eval(params: ZetaParams, p):
     """zeta at p, a float or an array of exponents (a float in gives a float out).
 
     Each point takes one power, of the base and exponent of its own side of
     the crossover, so no side is evaluated where it could overflow."""
     _check_inside(p, params.a, params.b)
-    far = p if params.b == INF else params.b - p
     if not isinstance(p, np.ndarray):
-        return (p - params.a) ** params.alpha if p < params.crossover else far ** params.beta
+        return _zeta_at(params, p)
+    far = p if params.b == INF else params.b - p
     below = p < params.crossover
     return np.where(below, p - params.a, far) ** np.where(below, params.alpha, params.beta)
 
@@ -177,18 +186,25 @@ class PsiSpec:
     def psi(self, p):
         """The weight at p, a float or an array of exponents (a float in gives a
         float out); +inf is a legal value only for degenerate."""
-        if self.variant == "zeta":
-            z = zeta_eval(self.zeta_params, p)
-            if not isinstance(z, np.ndarray):
-                return INF if z == 0.0 else 1.0 / z
-            with np.errstate(divide="ignore", over="ignore"):  # z is 0.0 or subnormal
-                return 1.0 / z
         if self.variant == "degenerate":
             w = np.where(p == self.s, 1.0, INF)
-        else:  # table: log-linear interpolation in p
+            return w if isinstance(p, np.ndarray) else float(w)
+        if not isinstance(p, np.ndarray):
             _check_inside(p, self.a, self.b)
-            w = np.exp(np.interp(p, self.table_p, self._log_v))
-        return w if isinstance(p, np.ndarray) else float(w)
+            return self._psi_at(p)
+        if self.variant == "zeta":
+            with np.errstate(divide="ignore", over="ignore"):  # z is 0.0 or subnormal
+                return 1.0 / zeta_eval(self.zeta_params, p)
+        _check_inside(p, self.a, self.b)
+        return np.exp(np.interp(p, self.table_p, self._log_v))
+
+    def _psi_at(self, p: float) -> float:
+        """The zeta or table weight at one exponent p, unchecked: p must lie in (a, b).
+        A table weight interpolates log-linearly in p."""
+        if self.variant == "zeta":
+            z = _zeta_at(self.zeta_params, p)
+            return INF if z == 0.0 else 1.0 / z
+        return float(np.exp(np.interp(p, self.table_p, self._log_v)))
 
     @cached_property
     def samples(self) -> tuple:
@@ -351,7 +367,8 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
         return 1.0 if psi.s == INF else delta ** (1.0 / psi.s)
 
     logd = math.log(delta)
-    log_obj = lambda p: logd / p - math.log(psi.psi(p))
+    # _golden_max's exponents lie between two of the grid's, so inside (a, b)
+    log_obj = lambda p: logd / p - math.log(psi._psi_at(p))
 
     p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0)) if psi.b == INF else None
     grid, log_psi = psi._fundamental_samples(p_cap)

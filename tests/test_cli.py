@@ -260,6 +260,26 @@ def test_zeta_crossover_within_a_float_spacing_of_a_is_a_config_fault(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+STEEP_ZETA = {"variant": "zeta", "a": 1.5, "b": 6.0, "alpha": 1.0, "beta": 500.0}
+
+
+def test_steep_zeta_weight_is_accepted(tmp_path, capsys):
+    # 4.5^500 overflows at the crossover's bracket end: this used to exit 1
+    cfg = json.loads((CONFIG_DIR / "witness_sp.json").read_text())
+    cfg["nu"] = STEEP_ZETA
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "sp")) == 0
+    summary = json.loads((tmp_path / "sp" / "witness_sp_summary.json").read_text())
+    assert summary["pass"] is True
+    # its small-delta asymptotic (beta b^2 / e)^beta is beyond the float range
+    cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())
+    cfg["psi"] = STEEP_ZETA
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "fund")) == 2
+    assert capsys.readouterr().err.startswith("numerical-domain error")
+
+
 @pytest.mark.parametrize("config, field, points", [
     ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
     ("functional_sweep_sp.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
@@ -428,11 +448,6 @@ CONFIG_FAULTS = [
     ("norms_gaussian", ("p_grid",), {"a": 1, "b": 1e308}, "p_grid"),
     ("fundamental_zeta", ("deltas",), [-1], "deltas.0"),
     ("fundamental_zeta", ("deltas",), [1e-6, 0], "deltas.1"),
-    # the crossover of this weight overflows: it used to exit 2 naming no field
-    ("witness_sp", ("nu",), {"variant": "zeta", "a": 1.5, "b": 6.0, "alpha": 1.0, "beta": 500.0},
-     "nu"),
-    ("fundamental_zeta", ("psi",),
-     {"variant": "zeta", "a": 1.5, "b": 6.0, "alpha": 1.0, "beta": 500.0}, "psi"),
 ]
 
 

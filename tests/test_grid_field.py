@@ -10,6 +10,7 @@ from strichartz_gls import (
     SCHRODINGER,
     GaussianSpec,
     GridFunction,
+    PsiSpec,
     box_indicator,
     gaussian_lp_exact,
     gaussian_sample,
@@ -18,6 +19,7 @@ from strichartz_gls import (
     moment_profile,
     periodic_convolve,
     propagate,
+    v_sr_curve,
 )
 from strichartz_gls import grid_field
 from strichartz_gls.spaces import exponent_grid
@@ -319,8 +321,34 @@ def test_zero_function_norms():
 def test_values_are_the_outer_product_of_the_factors(make_f):
     f = make_f()
     assert len(f.factors) == f.grid.dim
+    assert "values" not in vars(f)  # built at its first read, below
     assert np.array_equal(f.values, functools.reduce(np.multiply.outer, f.factors))
+    assert f.values is f.values and not f.values.flags.writeable
     assert all(not v.flags.writeable for v in f.factors)
+    with pytest.raises(AttributeError, match="read-only"):
+        f.values = np.zeros(f.grid.shape)
+
+
+def test_norms_of_a_propagated_factored_field_never_build_its_values():
+    f = gaussian_sample(make_grid(3, 16.0, 64), GaussianSpec(1.0, 3))
+    u = propagate(f, SCHRODINGER, 2.0)
+    for p_grid in (np.append(DENSE_P, INF), [2.0], [INF]):
+        moment_profile(u, p_grid)
+    assert "values" not in vars(f) and "values" not in vars(u)
+
+
+def test_dispersive_curve_holds_no_full_grid_field():
+    g = make_grid(3, 24.0, 64)
+    f = gaussian_sample(g, GaussianSpec(1.0, 3))
+    L1, Linf = PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF)
+    tracemalloc.start()
+    try:
+        v_sr_curve(f, L1, Linf, [2.5, 3.0, 3.5, 3.8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each evolved field is three axis arrays: none of its 64^3 values is built
+    assert peak < 16 * 64 ** 3
 
 
 def test_initial_data_share_their_axis_factors():

@@ -115,6 +115,16 @@ def test_propagate_time_zero_identity():
     assert u is not f
 
 
+@pytest.mark.parametrize("kind", [HEAT, SCHRODINGER, fractional(1.5)],
+                         ids=["heat", "schrodinger", "fractional1.5"])
+def test_propagate_time_zero_keeps_the_factors(kind):
+    f = gaussian_sample(make_grid(3, 12.0, 32), GaussianSpec(1.0 + 0.5j, 3))
+    u = propagate(f, kind, 0.0)
+    assert u is not f and u.factors is not None and "values" not in vars(u)
+    assert all(np.array_equal(a, b) for a, b in zip(u.factors, f.factors))
+    assert np.array_equal(u.values, f.values)
+
+
 def test_propagate_rejects_negative_time_for_dissipative():
     g, f = _setup()
     with pytest.raises(ValueError):

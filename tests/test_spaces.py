@@ -67,12 +67,12 @@ def test_crossover_rejects_bad_interval():
         zeta_crossover(1.0, 1.0, 1.0, 1.0)
 
 
-def test_crossover_overflow_is_a_value_error():
+def test_steep_crossover_compares_its_sides_in_logs():
     # (b - a)^500 = 4.5^500 overflows a float at the left end of the bracket
-    with pytest.raises(ValueError, match=r"crossover equation overflows on \(1\.5, 6\.0\)"):
-        zeta_crossover(1.5, 6.0, 1.0, 500.0)
-    with pytest.raises(ValueError, match="overflows"):
-        PsiSpec.zeta(1.5, 6.0, 1.0, 500.0)
+    h = zeta_crossover(1.5, 6.0, 1.0, 500.0)
+    assert h == pytest.approx(4.99749, abs=1e-5)
+    assert abs(math.log(h - 1.5) - 500.0 * math.log(6.0 - h)) < 1e-9
+    assert PsiSpec.zeta(1.5, 6.0, 1.0, 500.0).zeta_params.crossover == h
 
 
 def test_zeta_eval_values():
