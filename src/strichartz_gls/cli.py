@@ -205,7 +205,7 @@ def parse_t_grid(cfg: Fields) -> np.ndarray:
         t = np.asarray(cfg.reals("t_grid"), dtype=float)
     else:
         block = cfg.block("t_grid")
-        start, stop = block.real("start"), block.real("stop")
+        start, stop = block.finite("start"), block.finite("stop")
         count = block.integer("count", least=1, cap=MAX_TIME_SAMPLES)
         spacing = block.choice("spacing", ("geometric", "linear"), "geometric")
         if stop <= start or start <= 0:
@@ -219,7 +219,7 @@ def parse_t_grid(cfg: Fields) -> np.ndarray:
 def parse_grid(cfg: Fields):
     d = cfg.integer("d")
     block = cfg.block("grid")
-    L, N = block.real("L"), block.integer("N")
+    L, N = block.finite("L"), block.integer("N")
     with _config_fault("grid"):
         grid = make_grid(d, L, N)
     if N ** d > MAX_GRID_NODES:
@@ -325,7 +325,7 @@ def _run_propagate(cfg):
     grid = parse_grid(cfg)
     f, _ = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
-    t = cfg.real("t")
+    t = cfg.finite("t")
     flat = propagate(f, kind, t).values.reshape(-1)
     rows = list(zip(map(str, range(flat.size)), _fmt(flat.real), _fmt(flat.imag), repeat("grid")))
     return ["index", "real", "imag", "provenance"], rows, {

@@ -3,17 +3,20 @@
 The grid covers [-L, L)^d with periodic identification and N (a power of
 two) points per axis.  All norms use the rectangle rule, which is exact
 for node-aligned indicators and spectrally accurate for smooth functions
-that decay inside the box.  A field given by one-axis factors f_j has its
-norms and its finiteness taken from them, never from its N^d values:
-|f|_p^p = h^d prod_j sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|.
-Its values, the outer product of the factors, are built only for a caller
-that reads nodes (f + g, c * f, spectrum, the propagate CSV).
+that decay inside the box.  A field is read through its parts: its factors
+f_j, or its values as the one part.  A factored field takes its norms and
+finiteness from its factors, never its N^d values: |f|_p^p = h^d prod_j
+sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|, each max taken once, at
+construction.  Its values are built only for a caller that reads nodes
+(f + g, c * f, spectrum, the propagate CSV).
 moment_profile checks its exponents; the MomentProfile it returns is plain data.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -102,17 +105,12 @@ def _map_shared(fn, arrays) -> tuple:
     return tuple(done[id(a)] for a in arrays)
 
 
-def _bounded_product(factors) -> bool:
+def _bounded_product(maxima) -> bool:
     """Whether each partial product of the factors' maxima of |f_j|, taken in the order
     _tensor_product multiplies, is below half the largest float (false for a NaN or
     infinite entry): every entry of the outer product, complex rounding included, is
     then finite."""
-    bound = 1.0
-    for v in factors:
-        bound *= float(np.abs(v).max())
-        if not bound < np.finfo(float).max / 2:
-            return False
-    return True
+    return all(b < np.finfo(float).max / 2 for b in itertools.accumulate(maxima, operator.mul))
 
 
 def _sorted_neg_log(v: np.ndarray) -> tuple:
@@ -146,8 +144,8 @@ class GridFunction:
     factors instead of its values: d arrays of N samples, one object
     serving every axis it is passed for.  Its norms and propagate read the
     factors; values, their outer product, is built at its first read and
-    kept.  It is finite if _bounded_product(factors); if not, values is
-    built at once and checked node by node.
+    kept.  It is finite if _bounded_product of its maxima (_maxima, taken
+    here); if not, values is built at once and checked node by node.
     """
 
     def __init__(self, grid: Grid, values: Optional[np.ndarray] = None,
@@ -156,17 +154,18 @@ class GridFunction:
         attrs["grid"], attrs["factors"] = grid, factors
         if factors is None:
             attrs["values"] = v = _read_only(values)
+            attrs["_parts"] = (v,)
             if v.shape != grid.shape:
                 raise ValueError(f"values shape {v.shape} != grid shape {grid.shape}")
         else:
             if values is not None:
                 raise ValueError("give values or factors, not both")
-            attrs["factors"] = factors = _map_shared(_read_only, factors)
+            attrs["factors"] = attrs["_parts"] = factors = _map_shared(_read_only, factors)
             if len(factors) != grid.dim or any(
                     v.shape != (grid.points_per_axis,) for v in factors):
                 raise ValueError(f"factors must be {grid.dim} arrays of "
                                  f"{grid.points_per_axis} samples")
-            if _bounded_product(factors):
+            if _bounded_product(self._maxima):
                 return
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
@@ -191,10 +190,15 @@ class GridFunction:
         return _map_shared(lambda v: _read_only(np.fft.fftn(v)), self.factors)
 
     @cached_property
+    def _maxima(self) -> tuple:
+        """max |part| of each part, taken once per distinct part: floats, never |f| itself."""
+        return _map_shared(lambda v: float(np.abs(v).max()), self._parts)
+
+    @cached_property
     def _sorted_neg_logs(self) -> tuple:
-        """_sorted_neg_log of each factor, or of values, taken at first use and once per
-        distinct array, so the profiles of one function take one log and one sort each."""
-        return _map_shared(_sorted_neg_log, self.factors or (self.values,))
+        """_sorted_neg_log of each part, taken at first use and once per distinct part, so
+        the profiles of one function take one log and one sort each."""
+        return _map_shared(_sorted_neg_log, self._parts)
 
     def _check_same_grid(self, other: "GridFunction"):
         if self.grid != other.grid:
@@ -251,7 +255,9 @@ def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
         raise ValueError(f"truncated Gaussian mass {tail:.3g} exceeds {TAIL_MASS_TOL}")
     amp = (2.0 * np.pi * s2) ** (-grid.dim / 2.0)
     # exp(-||x||^2/(2 s2)) is the product over the axes of one factor
-    e = np.exp(-grid.axis_coords() ** 2 / (2.0 * s2))
+    # x^2 overflows (and inf / s2 has a NaN part) only where exp(-x^2/(2 s2)) is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-grid.axis_coords() ** 2 / (2.0 * s2))
     return GridFunction(grid, factors=(amp * e,) + (e,) * (grid.dim - 1))
 
 
@@ -307,16 +313,16 @@ def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:
     return sums
 
 
-def _power_sum(v: np.ndarray, p: np.ndarray) -> tuple:
-    """(m, [sum((|v|/m) ** p[0])]) with m = max |v|, over every entry of v; the list is
-    empty when p is or when m = 0."""
+def _power_sum(v: np.ndarray, p: float) -> tuple:
+    """(m, [sum((|v|/m) ** p)]) with m = max |v|, over every entry of v; the list is
+    empty when m = 0."""
     a = np.abs(v)
     m = float(a.max())
-    if not (p.size and m):
+    if not m:
         return m, []
     a /= m
-    if p[0] != 1:  # x ** 1.0 is x, and costs as much as any other power
-        a **= p[0]
+    if p != 1:  # x ** 1.0 is x, and costs as much as any other power
+        a **= p
     return m, [float(np.sum(a))]
 
 
@@ -325,8 +331,8 @@ def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     empty grid, an exponent below 1 or a grid that does not increase is rejected.
 
     The max of |f| is factored out of every finite-p sum to avoid overflow.
-    Max and sums are products over the parts of f, its factors or values
-    alone; a one-part product is the part's own max and sums, bit for bit.
+    Max and sums are products over the parts of f; a one-part product is the
+    part's own max and sums, bit for bit.
     """
     p = np.asarray(list(p_grid), dtype=float)
     if p.size == 0:
@@ -337,13 +343,14 @@ def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     if (p[1:] <= p[:-1]).any():  # not np.diff: inf - inf would pass a repeated inf
         raise ValueError("p_grid must be strictly increasing")
     finite = p[p != INF]
-    arrays = f.factors or (f.values,)
     if finite.size > 1:
-        n = arrays[0].size
+        n = f._parts[0].size
         parts = _map_shared(lambda ml: (ml[0], _power_sums(ml[1], finite, n) if ml[0] else []),
                             f._sorted_neg_logs)
-    else:  # one power sum over every entry of each part
-        parts = _map_shared(lambda v: _power_sum(v, finite), arrays)
+    elif finite.size:  # one power sum over every entry of each part
+        parts = _map_shared(lambda v: _power_sum(v, finite[0]), f._parts)
+    else:  # no finite exponent: the maxima the parts keep
+        parts = [(m, []) for m in f._maxima]
     m = math.prod(mj for mj, _ in parts)
     # m = 0 when a part is 0 or every node underflows
     sums = [math.prod(s) for s in zip(*(sj for _, sj in parts))] if m else []

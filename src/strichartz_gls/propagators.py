@@ -13,20 +13,19 @@ hidden by renormalizing.
 The heat, Schrodinger and order-2 fractional multipliers are products
 m_1(xi_1) ... m_1(xi_d) of one one-axis symbol (in d = 1 every multiplier
 is).  A GridFunction given by one-axis factors (the Gaussian and the box
-indicator are) propagates under such a flow factor by factor,
-ifft(m_1 * fft(f_j)) once per distinct factor, into a factored field, with
-the forward transforms cached on f: no N^d transform is taken, and the
-norms of the result are taken from its factors (see grid_field), so no N^d
-array is built unless a caller reads its values.  At t = 0 a factored f
-gives a field on the same factors.  Every other case (fractional orders
-other than 2 in d >= 2, laplacian_propagate, sums of fields, convolutions)
-multiplies the N^d multiplier into GridFunction.spectrum, the cached fftn
-of f (which builds its values), and takes one inverse fftn, in place on
-the multiplier's buffer when both are complex.
+indicator are) propagates under such a flow factor by factor, once per
+distinct factor, into a factored field whose norms are taken from its
+factors (see grid_field): no N^d array is built unless a caller reads its
+values.  Every other case (fractional orders other than 2 in d >= 2,
+laplacian_propagate, sums of fields, convolutions) takes the N^d
+multiplier and GridFunction.spectrum, the cached fftn of f.  Either way
+each part of the result is one _apply_multiplier.  At t = 0 the result is
+a new field on f's own parts, of either kind, with nothing copied.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -97,39 +96,29 @@ def _multiplier(grid: Grid, kind: PropagatorKind, t: float) -> np.ndarray:
     return _tensor_product((m,) * grid.dim)
 
 
-def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Pointwise product with the cached spectrum of f, then the inverse transform.
-
-    mult must be an array this module just built: a complex mult receives
-    the product, and the inverse transform overwrites the product.  The
-    operand order mult * f_hat is fixed: with fused multiply-add the
-    complex product is not bitwise commutative.
-    """
-    out = mult if mult.dtype == f.spectrum.dtype else None
-    prod = np.multiply(mult, f.spectrum, out=out)
-    return GridFunction(f.grid, np.fft.ifftn(prod, out=prod))
-
-
-def _apply_axis_symbol(m: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """One factor of a propagated field: the inverse transform of m * spectrum, taken in
-    place on the product."""
-    prod = np.multiply(m, spectrum)
+def _apply_multiplier(mult: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """One part of a propagated field: ifftn(mult * spectrum), taken in place on the
+    product.  mult must be built for this product alone: when both are complex, it
+    receives the product.  The operand order is fixed: with fused multiply-add the
+    complex product is not bitwise commutative."""
+    prod = np.multiply(mult, spectrum, out=mult if mult.dtype == spectrum.dtype else None)
     return np.fft.ifftn(prod, out=prod)
 
 
 def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
     """The flow of the given kind at time t, applied through its multiplier; a factored
-    f under a product flow gives a factored field, each factor propagated alone."""
+    f under a product flow gives a factored field, each factor propagated alone; at
+    t = 0, a new field on f's own read-only parts."""
     if t < 0 and kind.kind != "schrodinger":
         raise ValueError(f"negative time is only legal for schrodinger, got t={t}")
     if t == 0:
-        return (GridFunction(f.grid, factors=f.factors) if f.factors is not None
-                else GridFunction(f.grid, f.values.copy()))
+        return copy.copy(f)
     m = _axis_symbol(f.grid, kind, t) if f.factors is not None else None
-    if m is not None:
+    if m is not None:  # the product may overwrite m: in d >= 2 each factor takes a copy
         return GridFunction(f.grid, factors=_map_shared(
-            lambda s: _apply_axis_symbol(m, s), f._factor_spectra))
-    return _apply_multiplier(f, _multiplier(f.grid, kind, t))
+            lambda s: _apply_multiplier(m if f.grid.dim == 1 else m.copy(), s),
+            f._factor_spectra))
+    return GridFunction(f.grid, _apply_multiplier(_multiplier(f.grid, kind, t), f.spectrum))
 
 
 def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> complex:
@@ -151,7 +140,8 @@ def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction
     kind = fractional(alpha)
     if not t > 0:
         raise ValueError("laplacian_propagate requires t > 0")
-    return _apply_multiplier(f, -f.grid.frequency_squared() * _multiplier(f.grid, kind, t))
+    mult = -f.grid.frequency_squared() * _multiplier(f.grid, kind, t)
+    return GridFunction(f.grid, _apply_multiplier(mult, f.spectrum))
 
 
 def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) -> float:

@@ -370,7 +370,9 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     # _golden_max's exponents lie between two of the grid's, so inside (a, b)
     log_obj = lambda p: logd / p - math.log(psi._psi_at(p))
 
-    p_cap = max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0)) if psi.b == INF else None
+    # b = inf: the cap lies past the argmax log(delta) / beta above the crossover
+    p_cap = (max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0), 2.0 * logd / psi.zeta_params.beta)
+             if psi.b == INF else None)
     grid, log_psi = psi._fundamental_samples(p_cap)
     # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
     vals = logd / grid - log_psi
@@ -394,15 +396,15 @@ def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> flo
     if regime == "small":
         if not delta < math.exp(-2.0):
             raise ValueError("small regime requires delta < e^-2")
-        if b != INF:
-            if min(alpha, beta) < 0:
-                raise ValueError("finite-b small-delta form requires alpha, beta >= 0")
+        m = abs(beta)  # ZetaParams holds alpha, beta >= 0 for a finite b, beta < 0 for b = inf
+        try:
+            if b == INF:
+                return m ** m * abs(math.log(delta)) ** (-m)
             pre = 1.0 if beta == 0 else (beta * b * b / math.e) ** beta
             return pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
-        if not beta < 0:
-            raise ValueError("b = inf small-delta form requires beta < 0")
-        m = abs(beta)
-        return m ** m * abs(math.log(delta)) ** (-m)
+        except OverflowError:
+            raise OverflowError(f"evaluating the small-delta asymptotic overflows a float at "
+                                f"delta = {delta:g}") from None
     if regime == "large":
         if not delta > math.exp(2.0):
             raise ValueError("large regime requires delta > e^2")

@@ -280,6 +280,30 @@ def test_steep_zeta_weight_is_accepted(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical-domain error")
 
 
+def test_overflowing_small_delta_asymptotic_says_so(tmp_path, capsys):
+    # (beta b^2 / e)^beta is about 10^1910 here: exit 2, naming the asymptotic
+    cfg = {**json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text()),
+           "psi": STEEP_ZETA, "regime": "small"}
+    path = tmp_path / "fund.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-domain error: evaluating the small-delta asymptotic "
+                          "overflows"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_finite_extent_samples_the_gaussian(tmp_path):
+    # x^2 overflows at |x| ~ 1e200, where exp(-x^2 / 2) is exactly 0: one node, x = 0, is not
+    cfg = json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())
+    cfg["grid"]["L"] = 1e200
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 0
+    rows = list(csv.reader((tmp_path / "out" / "norms_gaussian.csv").open()))
+    assert rows[-1][0] == "inf" and float(rows[-1][1]) == (2.0 * math.pi) ** -0.5
+
+
 @pytest.mark.parametrize("config, field, points", [
     ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
     ("functional_sweep_sp.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
@@ -448,6 +472,12 @@ CONFIG_FAULTS = [
     ("norms_gaussian", ("p_grid",), {"a": 1, "b": 1e308}, "p_grid"),
     ("fundamental_zeta", ("deltas",), [-1], "deltas.0"),
     ("fundamental_zeta", ("deltas",), [1e-6, 0], "deltas.1"),
+    # infinite extents and times used to reach numpy, exit 1 or 2 naming no field and,
+    # under the RuntimeWarning policy, end in a traceback
+    ("norms_gaussian", ("grid", "L"), "inf", "grid.L"),
+    ("propagate_heat", ("t",), "inf", "t"),
+    ("functional_sweep_sp", ("t_grid", "start"), "inf", "t_grid.start"),
+    ("functional_sweep_sp", ("t_grid", "stop"), "inf", "t_grid.stop"),
 ]
 
 

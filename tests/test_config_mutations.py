@@ -3,8 +3,8 @@
 Each base is a shipped config with its grid cut to at most 256 points per
 axis, so every mutated run stays cheap.  Replacement values avoid the
 dimensions 2 and 3 and integers above 16 for the same reason: a count or grid
-size has no upper bound yet, so a huge one asks numpy for terabytes (an open
-item in ROADMAP.md).
+size is capped only by cli's MAX_* limits (2^24 nodes, 4096 times, 2^20 curve
+samples), each far above what a fast test should allocate.
 """
 
 import copy

@@ -202,6 +202,25 @@ def test_lp_norm_inf_allocates_no_scaled_copy():
     assert peak < 2 * abs_bytes
 
 
+def test_sup_norm_reads_each_maximum_once(monkeypatch):
+    f = propagate(gaussian_sample(make_grid(3, 16.0, 64), GaussianSpec(1.0, 3)),
+                  SCHRODINGER, 2.0)
+    maxima = [float(np.abs(v).max()) for v in f.factors]
+    full = GridFunction(f.grid, f.values)
+    sizes = []
+    fn = np.abs
+    monkeypatch.setattr(np, "abs", lambda a, *args, **kw: sizes.append(np.size(a))
+                        or fn(a, *args, **kw))
+    for name in ("_power_sums", "_power_sum"):
+        monkeypatch.setattr(grid_field, name, lambda *a: pytest.fail("summed"))
+    # a factored field's maxima were taken at construction: no pass over |f_j| is left
+    assert lp_norm(f, INF) == math.prod(maxima)
+    assert sizes == []
+    # a field of values takes max |f| at its first use, once
+    assert lp_norm(full, INF) == lp_norm(full, INF) == float(fn(full.values).max())
+    assert sizes == [64 ** 3]
+
+
 def test_moment_profile_rejects_bad_grids():
     g = make_grid(1, 32.0, 64)
     f = box_indicator(g, 4)

@@ -125,6 +125,16 @@ def test_propagate_time_zero_keeps_the_factors(kind):
     assert np.array_equal(u.values, f.values)
 
 
+@pytest.mark.parametrize("kind", [HEAT, SCHRODINGER, fractional(1.5)],
+                         ids=["heat", "schrodinger", "fractional1.5"])
+def test_propagate_time_zero_shares_the_values(kind):
+    f = gaussian_sample(make_grid(2, 12.0, 32), GaussianSpec(1.0 + 0.5j, 2))
+    full = GridFunction(f.grid, f.values)
+    u = propagate(full, kind, 0.0)
+    # values are read-only, so the identity flow copies none of them
+    assert u is not full and u.factors is None and u.values is full.values
+
+
 def test_propagate_rejects_negative_time_for_dissipative():
     g, f = _setup()
     with pytest.raises(ValueError):

@@ -276,6 +276,9 @@ CLOSED_FORM_WEIGHTS = {
     "zeta-infinite-b-a2": PsiSpec.zeta(2.0, INF, 0.5, -2.0),
     "zeta-infinite-b-alpha2": PsiSpec.zeta(1.5, INF, 2.0, -1.0),
     "zeta-infinite-b-alpha0": PsiSpec.zeta(1.0, INF, 0.0, -1.0),
+    # |beta| < 1/8: the argmax log(delta) / beta lies past 8(|log delta| + 1)
+    "zeta-infinite-b-shallow": PsiSpec.zeta(1.0, INF, 1.0, -0.1),
+    "zeta-infinite-b-shallower": PsiSpec.zeta(1.0, INF, 1.0, -0.05),
     "table-two-points": PsiSpec.table({1.0: 2.0, 8.0: 1.0}),
     "table-dip": PsiSpec.table({1.5: 1.0, 2.5: 0.5, 4.0: 2.0}),
     "table-deep-dip": PsiSpec.table({2.0: 1.0, 3.0: 0.25, 4.0: 2.0}),
