@@ -23,7 +23,6 @@ from .spaces import (
     exponent_grid,
     fundamental_asymptotic,
     fundamental_gls,
-    gls_norm,
     zeta_crossover,
     zeta_eval,
 )

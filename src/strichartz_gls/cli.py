@@ -197,7 +197,7 @@ def parse_psi(cfg: Fields, key: str) -> PsiSpec:
         if variant == "zeta":
             return PsiSpec.zeta(*(block.real(k) for k in ("a", "b", "alpha", "beta")))
         points = block.block("points")
-        return PsiSpec.table({float(k): points.real(k) for k in points.data})
+        return PsiSpec.table({k: points.real(k) for k in points.data})
 
 
 def parse_t_grid(cfg: Fields) -> np.ndarray:
@@ -232,15 +232,16 @@ def parse_initial(cfg: Fields, grid) -> tuple[GridFunction, float]:
     """(initial data, Re sigma^2 for the safe window; 1.0 for the indicator)."""
     block = cfg.block("initial", {"type": "gaussian"})
     if block.choice("type", ("gaussian", "indicator")) == "indicator":
-        return box_indicator(grid, block.integer("nodes_per_axis")), 1.0
+        m = block.integer("nodes_per_axis", least=1, cap=grid.points_per_axis)
+        return box_indicator(grid, m), 1.0
     if block.holds("sigma2", list):  # [re, im]: a complex variance
-        parts = block.reals("sigma2")
+        parts = block.reals("sigma2", Fields.finite)
         if len(parts) != 2:
             raise ConfigError(f"field {block.name('sigma2')} must be a number or [re, im], "
                               f"got {block.data['sigma2']!r}")
         s2 = complex(*parts)
     else:
-        s2 = complex(block.real("sigma2", 1.0))
+        s2 = complex(block.finite("sigma2", 1.0))
     return gaussian_sample(grid, GaussianSpec(s2, grid.dim)), s2.real
 
 

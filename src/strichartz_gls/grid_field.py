@@ -64,7 +64,11 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing ** self.dim
+        try:
+            return self.spacing ** self.dim
+        except OverflowError:
+            raise OverflowError(f"cell volume h^d overflows a float for grid.L = "
+                                f"{self.half_extent:g} and d = {self.dim}") from None
 
     def axis_coords(self) -> np.ndarray:
         """Node coordinates along one axis: x_k = -L + k*h."""

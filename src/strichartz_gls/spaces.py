@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid_field import INF, MomentProfile
+from .grid_field import INF
 
 __all__ = [
     "ZetaParams",
@@ -25,13 +25,14 @@ __all__ = [
     "zeta_crossover",
     "zeta_eval",
     "exponent_grid",
-    "gls_norm",
     "fundamental_gls",
     "fundamental_asymptotic",
 ]
 
 CROSSOVER_TOL = 1e-12
 PROFILE_MIN_OFFSET = 1e-3  # least offset from a and b of the exponents a norm samples
+GOLDEN_REL_TOL = 1e-12  # _golden_max stops at this bracket width over max(1, |lo| + |hi|)
+GOLDEN_MAX_ITER = 200
 
 
 def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
@@ -151,7 +152,6 @@ class PsiSpec:
     b: float
     variant: str
     zeta_params: Optional[ZetaParams] = None
-    s: Optional[float] = None
     table_p: Optional[np.ndarray] = None
     table_v: Optional[np.ndarray] = None
 
@@ -163,14 +163,20 @@ class PsiSpec:
     def degenerate(cls, s: float) -> "PsiSpec":
         if not (s >= 1 or s == INF):
             raise ValueError(f"degenerate exponent must be >= 1, got {s}")
-        return cls(a=s, b=s, variant="degenerate", s=s)
+        return cls(a=s, b=s, variant="degenerate")
 
     @classmethod
     def table(cls, points: dict) -> "PsiSpec":
-        p = np.array(sorted(float(k) for k in points), dtype=float)
-        v = np.array([float(points[k]) for k in sorted(points, key=float)], dtype=float)
+        """Samples {p: psi(p)}; a key may be a number or its string, one key per exponent."""
+        keys = sorted(points, key=float)
+        p = np.array([float(k) for k in keys], dtype=float)
+        v = np.array([float(points[k]) for k in keys], dtype=float)
         if p.size < 2:
             raise ValueError("table weight needs at least two points")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("table weight exponents must be finite")
+        if np.any(np.diff(p) == 0):  # the keys are sorted, so a zero gap is the least
+            raise ValueError(f"table weight gives exponent {p[np.argmin(np.diff(p))]:g} twice")
         if not np.all((v > 0) & np.isfinite(v)):
             raise ValueError("table weight values must be positive and finite")
         return cls(a=float(p[0]), b=float(p[-1]), variant="table", table_p=p, table_v=v)
@@ -187,7 +193,7 @@ class PsiSpec:
         """The weight at p, a float or an array of exponents (a float in gives a
         float out); +inf is a legal value only for degenerate."""
         if self.variant == "degenerate":
-            w = np.where(p == self.s, 1.0, INF)
+            w = np.where(p == self.a, 1.0, INF)
             return w if isinstance(p, np.ndarray) else float(w)
         if not isinstance(p, np.ndarray):
             _check_inside(p, self.a, self.b)
@@ -210,12 +216,16 @@ class PsiSpec:
     def samples(self) -> tuple:
         """(exponents, weights) that a norm weighted by psi takes its sup over, built at
         first use and kept read-only: ([s], [1.0]) for a degenerate weight.  Raises
-        CoverageError, at every use, when the exponents do not cover (a, b)."""
-        p = (np.array([self.s]) if self.variant == "degenerate" else
-             exponent_grid(self.a, self.b, per_decade=64, min_offset=PROFILE_MIN_OFFSET))
+        CoverageError, at every use, unless 64 exponents or more reach within 5% of each
+        finite end of (a, b)."""
+        a, b = self.a, self.b
+        p = (np.array([a]) if self.variant == "degenerate" else
+             exponent_grid(a, b, per_decade=64, min_offset=PROFILE_MIN_OFFSET))
         w = self.psi(p)
-        if self.variant != "degenerate":
-            _check_coverage(p, self.a, self.b)
+        span = max(1.0, a) if b == INF else b - a
+        if self.variant != "degenerate" and not (p.size >= 64 and p[0] - a <= 0.05 * span
+                                                 and (b == INF or b - p[-1] <= 0.05 * span)):
+            raise CoverageError(f"profile grid does not cover ({a}, {b}) densely enough")
         p.flags.writeable = w.flags.writeable = False
         return p, w
 
@@ -260,32 +270,6 @@ def exponent_grid(
 class CoverageError(ValueError):
     """An exponent grid too sparse near an end of its weight's interval: a fault of the
     numerical domain of the weight, not of how a config states it."""
-
-
-def _check_coverage(p_inside: np.ndarray, a: float, b: float):
-    """Raise unless at least 64 exponents reach within 5% of each finite end of (a, b)."""
-    span = max(1.0, a) if b == INF else b - a
-    if not (p_inside.size >= 64 and p_inside[0] - a <= 0.05 * span
-            and (b == INF or b - p_inside[-1] <= 0.05 * span)):
-        raise CoverageError(f"profile grid does not cover ({a}, {b}) densely enough")
-
-
-def gls_norm(profile: MomentProfile, psi: PsiSpec) -> float:
-    """sup over sampled p of h(p)/psi(p); h(s) for the degenerate variant, which
-    must be (nearly) a profile exponent.
-
-    Returns math.inf as a distinguished value when some ratio is infinite.
-    """
-    if psi.variant == "degenerate":
-        p = profile.p_grid
-        i = p.size - 1 if psi.s == INF else int(np.argmin(np.abs(p - psi.s)))
-        if not math.isclose(p[i], psi.s, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(f"exponent {psi.s} not in profile grid")
-        return _weighted_sup(profile.values[i:i + 1], np.ones(1))
-    inside = (profile.p_grid > psi.a) & (profile.p_grid < psi.b)
-    p_in = profile.p_grid[inside]
-    _check_coverage(p_in, psi.a, psi.b)
-    return _weighted_sup(profile.values[inside], psi.psi(p_in))
 
 
 def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
@@ -337,15 +321,14 @@ def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.
     return best
 
 
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
-                rel_tol: float = 1e-12, max_iter: int = 200) -> tuple:
-    """Golden-section maximization on [lo, hi]; returns (x, fun(x))."""
+def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section maximization on [lo, hi]; returns fun at the final bracket's midpoint."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(1.0, abs(lo) + abs(hi)):
+    for _ in range(GOLDEN_MAX_ITER):
+        if hi - lo <= GOLDEN_REL_TOL * max(1.0, abs(lo) + abs(hi)):
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
@@ -355,8 +338,7 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = fun(x1)
-    x = 0.5 * (lo + hi)
-    return x, fun(x)
+    return fun(0.5 * (lo + hi))
 
 
 def fundamental_gls(psi: PsiSpec, delta: float) -> float:
@@ -364,7 +346,7 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     if not delta > 0:
         raise ValueError("delta must be positive")
     if psi.variant == "degenerate":
-        return 1.0 if psi.s == INF else delta ** (1.0 / psi.s)
+        return 1.0 if psi.a == INF else delta ** (1.0 / psi.a)
 
     logd = math.log(delta)
     # _golden_max's exponents lie between two of the grid's, so inside (a, b)
@@ -379,9 +361,7 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    _, best = _golden_max(log_obj, float(lo), float(hi))
-    best = max(best, float(vals[i]))
-    return math.exp(best)
+    return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
 
 
 def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> float:
@@ -399,7 +379,10 @@ def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> flo
         m = abs(beta)  # ZetaParams holds alpha, beta >= 0 for a finite b, beta < 0 for b = inf
         try:
             if b == INF:
-                return m ** m * abs(math.log(delta)) ** (-m)
+                try:
+                    return m ** m * abs(math.log(delta)) ** (-m)
+                except OverflowError:  # m^m alone overflows for m above about 143
+                    return math.exp(m * math.log(m) - m * math.log(abs(math.log(delta))))
             pre = 1.0 if beta == 0 else (beta * b * b / math.e) ** beta
             return pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
         except OverflowError:

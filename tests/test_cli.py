@@ -304,6 +304,19 @@ def test_huge_finite_extent_samples_the_gaussian(tmp_path):
     assert rows[-1][0] == "inf" and float(rows[-1][1]) == (2.0 * math.pi) ** -0.5
 
 
+def test_overflowing_cell_volume_says_so(tmp_path, capsys):
+    # h^d = (2L / N)^2 overflows for L = 1e200: exit 2, naming the cell volume, grid.L and d
+    cfg = {**json.loads((CONFIG_DIR / "norms_gaussian.json").read_text()),
+           "d": 2, "grid": {"L": 1e200, "N": 16}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-domain error: cell volume h^d overflows"), err
+    assert "grid.L = 1e+200" in err and "d = 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config, field, points", [
     ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
     ("functional_sweep_sp.json", "Y", {"3.0": 1.0, "3.01": 1.0}),
@@ -478,6 +491,17 @@ CONFIG_FAULTS = [
     ("propagate_heat", ("t",), "inf", "t"),
     ("functional_sweep_sp", ("t_grid", "start"), "inf", "t_grid.start"),
     ("functional_sweep_sp", ("t_grid", "stop"), "inf", "t_grid.stop"),
+    # each value below used to reach numpy and exit 2 naming no field
+    ("norms_gaussian", ("initial",), {"type": "indicator", "nodes_per_axis": 0},
+     "initial.nodes_per_axis"),
+    ("norms_gaussian", ("initial",), {"type": "indicator", "nodes_per_axis": 2048},
+     "initial.nodes_per_axis"),
+    ("norms_gaussian", ("initial", "sigma2"), "inf", "initial.sigma2"),
+    ("norms_gaussian", ("initial", "sigma2"), [1, "inf"], "initial.sigma2.1"),
+    # an infinite table exponent used to end in a traceback, a repeated one to exit 0
+    ("witness_sp", ("nu", "points", "inf"), 1.0, "nu"),
+    ("witness_sp", ("nu", "points", "1e400"), 2.0, "nu"),
+    ("witness_sp", ("nu", "points", "4"), 3.0, "nu"),
 ]
 
 

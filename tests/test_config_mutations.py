@@ -70,6 +70,21 @@ def _mutate(data, keys_only=False):
     return cfg, path, _parent(cfg, path)
 
 
+def _tables(cfg: dict) -> list:
+    """The points object of every table weight in cfg."""
+    nodes = (_parent(cfg, p)[p[-1]] for p in _paths(cfg))
+    return [n["points"] for n in nodes if isinstance(n, dict) and n.get("variant") == "table"]
+
+
+TABLE_BASES = [cfg for cfg in BASES if _tables(cfg)]
+
+
+def _respellings(key: str) -> list:
+    """Other JSON keys for the exponent float(key)."""
+    x = float(key)
+    return sorted({repr(x), f"{x:g}", f"{x:e}", f"{x:.3f}"} - {key})
+
+
 def _run(cfg: dict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -92,6 +107,17 @@ def test_retyped_field_is_a_config_error(data):
     old = _json_type(parent[path[-1]])
     parent[path[-1]] = data.draw(st.sampled_from(
         [v for t, vs in RETYPED.items() if t != old for v in vs]))
+    assert _run(cfg) == 1
+
+
+@SETTINGS
+@given(st.data())
+def test_added_infinite_or_repeated_table_exponent_is_a_config_error(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(TABLE_BASES)))
+    points = data.draw(st.sampled_from(_tables(cfg)))
+    key = data.draw(st.sampled_from(
+        ["inf", "1e400", "nan"] + [s for k in points for s in _respellings(k)]))
+    points[key] = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     assert _run(cfg) == 1
 
 

@@ -8,7 +8,6 @@ from strichartz_gls import (
     INF,
     GaussianSpec,
     GridFunction,
-    MomentProfile,
     PsiSpec,
     ZetaParams,
     box_indicator,
@@ -16,7 +15,6 @@ from strichartz_gls import (
     fundamental_asymptotic,
     fundamental_gls,
     gaussian_sample,
-    gls_norm,
     make_grid,
     mixed_norm,
     moment_profile,
@@ -113,6 +111,19 @@ def test_exponent_grid_too_wide_is_a_value_error(a, b):
         exponent_grid(a, b)
 
 
+@pytest.mark.parametrize("points, match", [
+    ({"2": 1.0, "inf": 2.0}, "exponents must be finite"),
+    ({"2": 1.0, "1e400": 2.0}, "exponents must be finite"),
+    ({"nan": 1.0, "2": 1.0, "3": 1.0}, "exponents must be finite"),
+    ({"2": 1.0, "2.0": 5.0, "3": 1.0}, "exponent 2 twice"),
+    ({2.0: 1.0, "2": 5.0, 3.0: 1.0}, "exponent 2 twice"),
+], ids=["inf", "overflow", "nan", "two-spellings", "number-and-string"])
+def test_table_rejects_an_infinite_or_repeated_exponent(points, match):
+    # a repeated exponent used to give a weight that depends on the keys' order
+    with pytest.raises(ValueError, match=match):
+        PsiSpec.table(points)
+
+
 def test_samples_reject_an_uncovered_weight_at_every_use():
     psi = PsiSpec.table({1.0: 1.0, 1.01: 1.0})
     for _ in range(2):
@@ -159,28 +170,18 @@ def test_gls_norm_degenerate_matches_lp():
 
 def test_gls_norm_degenerate_is_the_profile_entry_bit_for_bit():
     g = make_grid(1, 40.0, 1024)
-    prof = moment_profile(gaussian_sample(g, GaussianSpec(1.0, 1)), [1.0, 2.0, 3.5, 8.0])
-    for p, h in zip(prof.p_grid, prof.values):
-        assert gls_norm(prof, PsiSpec.degenerate(float(p))).hex() == float(h).hex()
-    # an exponent within 1e-12 of a grid point reads that point
-    assert gls_norm(prof, PsiSpec.degenerate(3.5 * (1 + 1e-13))) == prof.values[2]
-    zero = MomentProfile(np.array([2.0, 4.0]), np.zeros(2))
-    assert gls_norm(zero, PsiSpec.degenerate(4.0)) == 0.0
-
-
-def test_gls_norm_degenerate_rejects_an_absent_exponent():
-    prof = MomentProfile(np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 0.25]))
-    with pytest.raises(ValueError, match="exponent 3.0 not in profile grid"):
-        gls_norm(prof, PsiSpec.degenerate(3.0))
-    with pytest.raises(ValueError):  # no inf entry
-        gls_norm(prof, PsiSpec.degenerate(INF))
+    f = gaussian_sample(g, GaussianSpec(1.0, 1))
+    for p in (1.0, 2.0, 3.5, 8.0):
+        h = moment_profile(f, [p]).values[0]
+        assert space_norm(f, PsiSpec.degenerate(p)).hex() == float(h).hex()
+    assert space_norm(GridFunction(g, np.zeros(1024)), PsiSpec.degenerate(4.0)) == 0.0
 
 
 def test_gls_norm_degenerate_at_inf_reads_the_inf_entry():
-    prof = MomentProfile(np.array([1.0, 2.0, INF]), np.array([1.0, 0.5, 0.125]))
-    assert gls_norm(prof, PsiSpec.degenerate(INF)) == 0.125
     g = make_grid(1, 40.0, 1024)
     f = gaussian_sample(g, GaussianSpec(1.0, 1))
+    prof = moment_profile(f, [1.0, 2.0, INF])
+    assert space_norm(f, PsiSpec.degenerate(INF)) == prof.values[-1]
     assert space_norm(f, PsiSpec.degenerate(INF)) == moment_profile(f, [INF]).values[0]
 
 
@@ -353,6 +354,15 @@ def test_asymptotic_small_delta_infinite_b():
     assert drifts[-1] < 0.10
 
 
+def test_asymptotic_small_delta_steep_infinite_b_in_logs():
+    # m^m overflows for m = |beta| = 200, yet (m / |log delta|)^m is about 2.2e-108
+    fv = fundamental_asymptotic(ZetaParams(1.0, INF, 1.0, -200.0), 1e-300, regime="small")
+    assert fv == pytest.approx((200.0 / abs(math.log(1e-300))) ** 200.0, rel=1e-12)
+    # here the value itself, about 10^31700, is beyond the float range
+    with pytest.raises(OverflowError, match="small-delta asymptotic overflows"):
+        fundamental_asymptotic(ZetaParams(1.0, INF, 1.0, -1e4), 1e-3, regime="small")
+
+
 def test_asymptotic_large_delta():
     psi = PsiSpec.zeta(1.0, INF, 1.0, -1.0)
     zp = ZetaParams(1.0, INF, 1.0, -1.0)
@@ -393,7 +403,7 @@ def test_asymptotic_regime_guards():
 
 
 def test_moment_norm_consistency():
-    # gls_norm of an indicator agrees with a direct sup over the profile
+    # space_norm of an indicator agrees with a direct sup over the profile
     g = make_grid(1, 32.0, 512)
     f = box_indicator(g, 32)
     psi = PsiSpec.zeta(1.0, 3.0, 1.0, 1.0)
@@ -476,7 +486,7 @@ def test_space_norm_matches_full_profile_sup(name, data):
     f = {"gaussian": gaussian_sample(g, GaussianSpec(1.0, 1)),
          "indicator": box_indicator(g, 16),
          "zero": GridFunction(g, np.zeros(1024))}[data]
-    want = gls_norm(moment_profile(f, psi.samples[0]), psi)
+    want = _weighted_sup(moment_profile(f, psi.samples[0]).values, psi.samples[1])
     got = space_norm(f, psi)
     if data == "zero":
         assert got == want == 0.0
