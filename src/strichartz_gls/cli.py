@@ -306,10 +306,14 @@ def _run_fundamental(cfg):
     psi = parse_psi(cfg, "psi")
     deltas = cfg.reals("deltas", Fields.positive)
     regime = cfg.choice("regime", ("small", "large"), None)
+    if regime and not (psi.variant == "zeta" and (regime == "small" or psi.b == INF)):
+        need = "a zeta psi with b = inf" if regime == "large" else "a zeta psi"
+        raise ConfigError(f"field regime: the {regime}-delta asymptotic needs {need}, got a "
+                          f"{psi.variant} psi on ({psi.a:g}, {psi.b:g})")
     nums, asys, ratios = [], [], []
     for delta in deltas:
         nums.append(fundamental_gls(psi, delta))
-        if regime and psi.variant == "zeta":
+        if regime:
             asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime))
             ratios.append(nums[-1] / asys[-1])
     rows = list(zip(_fmt(deltas), _fmt(nums), _fmt(asys) if asys else repeat(""), repeat("grid")))
@@ -324,9 +328,11 @@ def _run_fundamental(cfg):
 
 def _run_propagate(cfg):
     grid = parse_grid(cfg)
-    f, _ = parse_initial(cfg, grid)
+    f, sigma2_real = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
     t = cfg.finite("t")
+    with _config_fault():
+        check_window([t], grid, kind, sigma2_real, name="t")
     flat = propagate(f, kind, t).values.reshape(-1)
     rows = list(zip(map(str, range(flat.size)), _fmt(flat.real), _fmt(flat.imag), repeat("grid")))
     return ["index", "real", "imag", "provenance"], rows, {
@@ -419,6 +425,10 @@ def _run_mixed_norm(cfg):
 def _run_rate_report(cfg):
     f, psiX, psiY, t_grid, kind = _parse_flow(cfg, least=MIN_FIT_SAMPLES)
     with_log = cfg.flag("with_log", True)
+    least = 1.0 if with_log else 0.0  # the fit takes log t, and under with_log log log t
+    if not t_grid[0] > least:
+        raise ConfigError(f"field t_grid: the rate fit{' with_log' if with_log else ''} needs "
+                          f"every time above {least:g}, got {t_grid[0]:g}")
     block = cfg.block("predicted")
     source = block.choice("source", PREDICTED_SOURCES)
     params = {k: block.real(k) for k in block.data if k != "source"}

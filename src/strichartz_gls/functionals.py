@@ -40,13 +40,9 @@ PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fracti
                      "heat-lp", "schrodinger-lp")
 
 
-def _profile_sup(f: GridFunction, psi: PsiSpec) -> float:
+def space_norm(f: GridFunction, psi: PsiSpec) -> float:
     """The norm of f weighted by psi, its moment profile taken only where it can set the sup."""
     return _gls_sup(lambda q: moment_profile(f, q).values, psi)
-
-
-def space_norm(f: GridFunction, psi: PsiSpec) -> float:
-    return _profile_sup(f, psi)
 
 
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
@@ -115,7 +111,7 @@ def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCu
     expo = f.grid.dim / 2.0 if kind.kind == "heat" else f.grid.dim / kind.alpha
 
     def at(t: float, norm_x: float) -> float:
-        norm_y = _profile_sup(propagate(f, kind, t), psiY)
+        norm_y = space_norm(propagate(f, kind, t), psiY)
         phi_y = fundamental_gls(psiY, K1 * t ** expo)
         phi_x = fundamental_gls(psiX, K2 * t ** expo)
         return (norm_y / phi_y) / (norm_x / phi_x)
@@ -139,7 +135,7 @@ def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> Func
     d = f.grid.dim
 
     def at(t: float, norm_x: float) -> float:
-        norm_y = _profile_sup(propagate(f, SCHRODINGER, t), psiY)
+        norm_y = space_norm(propagate(f, SCHRODINGER, t), psiY)
         arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
         phi_x = fundamental_gls(psiX, arg)
         return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
@@ -170,13 +166,18 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
         lt, ly = np.log(t[:k][pos]), np.log(y[:k][pos])
         slope0 = float(np.polyfit(lt, ly, 1)[0])
 
+    y_max = float(y.max())
+
     def h(q: float) -> float:
         if q == INF:
-            return float(y.max())
+            return y_max
         if slope0 * q <= -1.0 + 1e-9:
             return INF
         with np.errstate(over="ignore"):  # an overflowing integrand diverges: inf
-            return float(np.trapezoid(y ** q, t)) ** (1.0 / q)
+            v = float(np.trapezoid(y ** q, t)) ** (1.0 / q)
+        if v == INF and y_max < INF:  # a finite y whose q-th power overflows: scale by y_max
+            v = y_max * float(np.trapezoid((y / y_max) ** q, t)) ** (1.0 / q)
+        return v
 
     return _gls_sup(lambda qs: np.array([h(qi) for qi in qs.tolist()]), theta)
 
@@ -260,6 +261,8 @@ def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:
     y = np.asarray(values, dtype=float)
     if t.size < MIN_FIT_SAMPLES:
         raise ValueError(f"rate fit needs at least {MIN_FIT_SAMPLES} samples")
+    if not np.all(t > 0):
+        raise ValueError("rate fit requires positive times")
     if np.any(y <= 0):
         raise ValueError("rate fit requires positive values")
     lt = np.log(t)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,10 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
+        for name in ("dim", "points_per_axis"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if not self.half_extent > 0:
@@ -88,8 +93,9 @@ class Grid:
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
-    """Build a Grid; rejects unsupported d, nonpositive L, non-power-of-two N."""
-    return Grid(dim=d, half_extent=float(L), points_per_axis=int(N))
+    """Build a Grid; rejects a d or N that is not an integer (a bool included),
+    unsupported d, nonpositive L, non-power-of-two N."""
+    return Grid(dim=d, half_extent=float(L), points_per_axis=N)
 
 
 def _read_only(a) -> np.ndarray:
@@ -278,9 +284,7 @@ def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
     closed form applies to it.
     """
     s2 = complex(sigma2)
-    if not s2.real > 0:
-        raise ValueError(f"Re(sigma2) must be positive, got {sigma2}")
-    v = abs(s2) ** 2 / s2.real
+    v = GaussianSpec(sigma2, d).envelope_variance
     amp = (v / abs(s2)) ** (d / 2.0)
     if q == INF:
         return amp * (2.0 * math.pi * v) ** (-d / 2.0)

@@ -162,12 +162,16 @@ def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) 
     return w ** kind.alpha
 
 
-def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0):
-    """Raise ValueError when the largest time lies beyond safe_time_bound."""
+def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0,
+                 name: str = "t_grid"):
+    """Raise ValueError, naming the times ``name``, when a time is negative for a flow
+    other than schrodinger, or when the largest |t| lies beyond safe_time_bound."""
+    tmin, tmax = float(np.min(t_grid)), float(np.max(t_grid))
+    if tmin < 0 and kind.kind != "schrodinger":
+        raise ValueError(f"{name} holds the negative time {tmin:g}: only the "
+                         f"schrodinger flow runs backward, not {kind.kind}")
     bound = safe_time_bound(grid, kind, sigma2_real)
-    tmax = float(np.max(t_grid))
-    if tmax > bound:
-        raise ValueError(
-            f"t_grid exceeds the wrap-around-safe window: max t = "
-            f"{tmax:g} > safe bound {bound:.6g} for this grid ({kind.kind})"
-        )
+    if max(tmax, -tmin) > bound:
+        worst = f"max t = {tmax:g}" if tmax >= -tmin else f"|min t| = {-tmin:g}"
+        raise ValueError(f"{name} exceeds the wrap-around-safe window: {worst} > "
+                         f"safe bound {bound:.6g} for this grid ({kind.kind})")

@@ -33,6 +33,7 @@ CROSSOVER_TOL = 1e-12
 PROFILE_MIN_OFFSET = 1e-3  # least offset from a and b of the exponents a norm samples
 GOLDEN_REL_TOL = 1e-12  # _golden_max stops at this bracket width over max(1, |lo| + |hi|)
 GOLDEN_MAX_ITER = 200
+TAIL_STEPS = 58  # exponents from P to 8 P past a b = inf weight's samples: 64 per decade
 
 
 def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
@@ -284,15 +285,31 @@ def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
 
 def _gls_sup(h_at: Callable[[np.ndarray], np.ndarray], psi: PsiSpec) -> float:
     """sup_p h(p)/psi(p) over the exponents psi samples, h_at mapping an increasing
-    subset of them to h.  A degenerate psi is 1 at its one exponent s, so its sup is
-    h(s) >= 0, with nothing to prune."""
+    subset of them, or [inf], to h.  A degenerate psi is 1 at its one exponent s, so its
+    sup is h(s) >= 0, with nothing to prune.
+
+    For b = inf the sup over p > P, the last exponent, is certified: log h(p) is convex
+    in 1/p and psi increases past the crossover (below P), so h(p)/psi(p) <= max(h(P),
+    h(inf)) / psi(P) there.  While that bound beats the sup so far, the exponents extend
+    from P to 8 P, 64 per decade as in PsiSpec.samples, and P moves to 8 P."""
     if psi.variant == "degenerate":
         return float(h_at(psi.samples[0])[0])
-    return _bounded_sup(h_at, *psi.samples)
+    p, w = psi.samples
+    best, h_end = _bounded_sup(h_at, p, w)
+    if psi.b < INF or best == INF:
+        return best
+    h_inf = float(h_at(np.array([INF]))[0])
+    while max(h_end, h_inf) / w[-1] > best:
+        p = p[-1] * np.geomspace(1.0, 8.0, TAIL_STEPS + 1)[1:]
+        w = psi.psi(p)
+        tail, h_end = _bounded_sup(h_at, p, w)
+        best = max(best, tail)
+    return best
 
 
-def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.ndarray) -> float:
-    """_weighted_sup(h_at(p), w), calling h_at only on exponents that can still set the sup.
+def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.ndarray) -> tuple:
+    """(_weighted_sup(h_at(p), w), h at the last exponent), calling h_at only on exponents
+    that can still set the sup.
 
     h_at maps an increasing subset of p to its values; p * log h(p) must be convex
     (Lyapunov, for a moment profile), so between evaluated exponents log h lies below
@@ -318,7 +335,7 @@ def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.
             log_bound = ((1.0 - t) * g[left] + t * g[right]) / p[todo] - log_w[todo]
             # a NaN bound (h = 0 next to h = inf) is evaluated, not pruned
             pick = todo[~(log_bound < np.log(best) - 1e-9)]
-    return best
+    return best, float(h[-1])
 
 
 def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:

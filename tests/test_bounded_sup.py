@@ -39,10 +39,10 @@ def test_bounded_sup_equals_full_sup(case):
         asked.extend(q.tolist())
         return np.array([float(np.sum(c * a ** x)) ** (1.0 / x) for x in q])
 
-    got = _bounded_sup(h_at, p, w)
-    assert got == _weighted_sup(h_at(p), w)
-    asked = asked[:len(asked) - p.size]
+    got, h_end = _bounded_sup(h_at, p, w)
     assert len(set(asked)) == len(asked) and set(asked) <= set(p.tolist())
+    full = h_at(p)
+    assert (got, h_end) == (_weighted_sup(full, w), full[-1])
 
 
 @pytest.mark.parametrize("s", [1.0, 2.5, INF])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from strichartz_gls import cli, functionals, witness
+from strichartz_gls.grid_field import gaussian_lp_exact
 from strichartz_gls.cli import main, report, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -502,6 +503,18 @@ CONFIG_FAULTS = [
     ("witness_sp", ("nu", "points", "inf"), 1.0, "nu"),
     ("witness_sp", ("nu", "points", "1e400"), 2.0, "nu"),
     ("witness_sp", ("nu", "points", "4"), 3.0, "nu"),
+    # the propagate time: past the window it exited 0, negative for heat it exited 2
+    ("propagate_heat", ("t",), 1000, "t"),
+    ("propagate_heat", ("t",), -1, "t"),
+    # times the rate fit cannot use exited 2, after every time had propagated
+    ("rate_report", ("t_grid",), [0, 16, 64, 256], "t_grid"),
+    ("rate_report", ("t_grid",), [-1, 16, 64, 256], "t_grid"),
+    ("rate_report", ("t_grid",), [1, 16, 64, 256], "t_grid"),
+    # a regime with no asymptotic form was ignored (exit 0), or exited 2
+    ("fundamental_zeta", ("regime",), "large", "regime"),
+    ("fundamental_zeta", ("psi",), {"variant": "degenerate", "s": 2.0}, "regime"),
+    ("fundamental_zeta", ("psi",), {"variant": "table", "points": {"1.5": 1.0, "3": 2.0}},
+     "regime"),
 ]
 
 
@@ -559,6 +572,53 @@ def test_rate_report_checks_predicted_before_sweep(tmp_path, monkeypatch, capsys
     bad.write_text(json.dumps(cfg))
     assert run(str(bad), str(tmp_path / "out")) == 1
     assert "predicted.source" in capsys.readouterr().err
+
+
+# the times lie inside both flows' windows (schrodinger's is 42.7 here)
+@pytest.mark.parametrize("t_grid, with_log", [
+    ([0.0, 4.0, 16.0, 32.0], False), ([-4.0, 4.0, 16.0, 32.0], False),
+    ([0.5, 4.0, 16.0, 32.0], True), ([1.0, 4.0, 16.0, 32.0], True)])
+@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
+def test_rate_report_refuses_unfittable_times_before_any_propagation(
+        t_grid, with_log, kind, tmp_path, capsys, monkeypatch):
+    cfg = json.loads((CONFIG_DIR / "rate_report.json").read_text())
+    cfg.update(t_grid=t_grid, with_log=with_log, kind=kind)
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(cli, "propagate", lambda *a: pytest.fail("propagated"))
+    assert _run(path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "t_grid" in err, err
+    assert "window" not in err
+
+
+def test_rate_report_without_log_fits_times_below_one(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "rate_report.json").read_text())
+    cfg.update(t_grid=[0.5, 4.0, 16.0, 64.0], with_log=False)
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 0
+
+
+def test_norms_of_a_complex_variance_gaussian_are_exact(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())
+    cfg["initial"]["sigma2"] = [1.0, 0.5]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 0
+    rows = list(csv.reader((tmp_path / "out" / "norms_gaussian.csv").read_text().splitlines()))[1:]
+    assert len(rows) == 7
+    for p, value, provenance in rows:
+        want = gaussian_lp_exact(complex(1.0, 0.5), 1, float(p))
+        assert float(value) == pytest.approx(want, rel=1e-14) and provenance == "grid"
+
+
+def test_config_that_is_an_array_exits_1(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())]))
+    assert _run(path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "config error: the config must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["config-is-directory", "undecodable-config", "out-is-a-file"])

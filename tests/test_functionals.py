@@ -74,6 +74,10 @@ def test_fit_rate_guards():
         fit_rate([3.0, 4.0, 5.0, 6.0], [1.0, -1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         fit_rate([0.5, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0], with_log=True)
+    for t0, with_log in ((0.0, False), (-1.0, False), (0.0, True)):
+        # a plain ValueError, raised before log t warns
+        with pytest.raises(ValueError, match="rate fit requires positive times"):
+            fit_rate([t0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0], with_log=with_log)
 
 
 # ---------------------------------------------------------- predicted_rate
@@ -241,6 +245,15 @@ def test_curve_records_exclusions():
     assert curve.exclusions[0][0] == 1.0
 
 
+def test_sweep_excludes_a_non_finite_or_nonpositive_value():
+    _, f, psiX, psiY = _sp_setup()
+    values = {4.0: INF, 8.0: 0.0, 16.0: 0.5, 32.0: -1.0, 64.0: math.nan}
+    curve = functionals._sweep(lambda t, norm_x: values[t], f, psiX, psiY, list(values))
+    assert curve.t_grid.tolist() == [16.0] and curve.values.tolist() == [0.5]
+    assert curve.exclusions == tuple(
+        (t, f"non-finite or nonpositive value {values[t]}") for t in (4.0, 8.0, 32.0, 64.0))
+
+
 @pytest.mark.parametrize("sweep", [w_sp_curve, v_sr_curve], ids=["SP", "SR"])
 def test_sweep_takes_the_x_norm_once(sweep, monkeypatch):
     _, f, psiX, psiY = _sp_setup()
@@ -250,7 +263,9 @@ def test_sweep_takes_the_x_norm_once(sweep, monkeypatch):
                         lambda h, psi: calls.append(psi) or space_norm(h, psi))
     t_grid = [2.0, 4.0, 16.0, 64.0]
     curve = sweep(f, psiX, psiY, t_grid)
-    assert calls == [psiX]
+    # the Y norms go through space_norm too, one per kept time
+    assert [psi for psi in calls if psi is psiX] == [psiX]
+    assert calls.count(psiY) == curve.t_grid.size == 3
     assert curve.values[1] == sweep(f, psiX, psiY, [16.0]).values[0]
     assert curve.exclusions == ((2.0, "functionals are defined for t > 2, got t=2.0"),)
 

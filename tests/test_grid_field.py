@@ -47,6 +47,9 @@ def test_make_grid_node_coords():
     (1, -1.0, 64),    # nonpositive extent
     (4, 10.0, 64),    # unsupported dimension
     (0, 10.0, 64),
+    (1, 10.0, 64.9),  # was truncated to N = 64
+    (True, 10.0, 64),  # was a grid with dim=True
+    (1, 10.0, 64.0),
 ])
 def test_make_grid_rejects(args):
     with pytest.raises(ValueError):

@@ -229,6 +229,22 @@ def test_check_window():
         check_window([4.0, 99.0], g, HEAT, sigma2_real=2.0)
 
 
+def test_check_window_bounds_the_largest_modulus():
+    g = make_grid(1, 16.0, 256)  # schrodinger's safe bound is 2.47
+    check_window([-2.0, 2.0], g, SCHRODINGER)
+    with pytest.raises(ValueError, match=r"^t_grid .*\|min t\| = 1000 > safe bound 2\.47"):
+        check_window([-1000.0, 2.0], g, SCHRODINGER)
+    with pytest.raises(ValueError, match=r"^t .*max t = 1000 > safe bound 6\.11"):
+        check_window([1000.0], g, HEAT, name="t")
+
+
+@pytest.mark.parametrize("kind", [HEAT, fractional(1.5)])
+def test_check_window_refuses_a_negative_time_but_for_schrodinger(kind):
+    g = make_grid(1, 16.0, 256)
+    with pytest.raises(ValueError, match="^t_grid holds the negative time -1"):
+        check_window([-1.0, 2.0], g, kind)
+
+
 SYMBOLS = {
     "heat": (HEAT, lambda k2, t: np.exp(-t * k2 / 2.0)),
     "schrodinger": (SCHRODINGER, lambda k2, t: np.exp(-1j * t * k2 / 2.0)),

@@ -1,20 +1,19 @@
-"""Every benchmark variant and warm-up, run in-process through cli.run, against the
-reference artifacts in perfbench/refs: exit code, file set, summary keys and every
-number within perfbench/check.py's tolerance, with the witness gaps below GAP_TOL."""
+"""Every benchmark variant and warm-up, run in-process through tools/run_digests.py's
+run_config, against the reference artifacts in perfbench/refs: exit code, file set,
+summary keys and every number within perfbench/check.py's tolerance, with the witness
+gaps below GAP_TOL."""
 
-import contextlib
-import io
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from strichartz_gls import cli
 from strichartz_gls.witness import GAP_TOL
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
 import check  # noqa: E402
+import run_digests  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -24,10 +23,8 @@ def test_every_variant_matches_its_reference(workload, tmp_path):
     experiments = [*workloads.all_variants(workload), workloads.warmup(workload)]
     problems = []
     for i, exp in enumerate(experiments):
-        cfg, out = tmp_path / f"{i}.json", tmp_path / str(i)
-        cfg.write_text(json.dumps(exp.config))
-        with contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.run(str(cfg), str(out))
+        (tmp := tmp_path / str(i)).mkdir()
+        rc, out, _ = run_digests.run_config(exp.config, tmp)
         found = check.compare(rc, check.read_artifacts(out), refs[exp.id], GAP_TOL)
         if rc != exp.expect_rc:
             found.append(f"exit code {rc}, expected {exp.expect_rc}")

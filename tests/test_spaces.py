@@ -475,7 +475,7 @@ def test_bounded_sup_evaluates_a_nan_bound():
     h[16], h[20], h[32] = 0.0, 5.0, INF
     w = np.ones(p.size)
     w[32] = INF
-    assert _bounded_sup(lambda q: h[(q - 1.0).astype(int)], p, w) == 5.0 == _weighted_sup(h, w)
+    assert _bounded_sup(lambda q: h[(q - 1.0).astype(int)], p, w)[0] == 5.0 == _weighted_sup(h, w)
 
 
 @pytest.mark.parametrize("name", ["zeta-finite-b", "zeta-infinite-b", "table"])
@@ -515,3 +515,35 @@ def test_extreme_zeta_weights_raise_no_warning(psi):
             assert fundamental_gls(psi, delta) > 0
         assert math.isfinite(space_norm(f, psi))
         assert math.isfinite(mixed_norm(t, t / (1.0 + t), psi))
+
+
+# The rectangle rule is exact for a node-aligned box, |1_B|_p = |B|^(1/p), so the norm of
+# the box is the fundamental function at |B|.  For these weights and |B| < 1 the argmax
+# log|B|/beta lies past the crossover, from 7 to 374 here, and for the smallest boxes past
+# the last sample, 100: the b = inf tail.  What is left is the sampling error of a smooth
+# maximum at 64 exponents per decade, |beta| (10^(1/64) - 1)^2 / 8 <= 1.7e-5.
+@pytest.mark.parametrize("beta", [-0.1, -0.05])
+@pytest.mark.parametrize("d, N", [(1, 64), (1, 1024), (2, 64), (2, 1024), (3, 64), (3, 1024)])
+def test_box_norm_is_the_fundamental_function(beta, d, N):
+    psi = PsiSpec.zeta(1.0, INF, 1.0, beta)
+    g = make_grid(d, 1.0, N)
+    for m in (1, 4, 16):
+        phi = fundamental_gls(psi, (m * g.spacing) ** d)
+        assert space_norm(box_indicator(g, m), psi) == pytest.approx(phi, rel=2e-5, abs=0.0)
+
+
+def test_constant_curve_mixed_norm_is_the_fundamental_function():
+    # the trapezoid rule is exact for a constant c on (t_0, T), so the mixed norm is
+    # c phi(T - t_0); the argmax 276 lies in the b = inf tail, where c^q overflows
+    psi = PsiSpec.zeta(1.0, INF, 1.0, -0.05)
+    t = np.geomspace(1e-12, 1e-6, 2048)
+    for c in (5.0, 1e3):
+        want = c * fundamental_gls(psi, t[-1] - t[0])
+        assert mixed_norm(t, np.full(t.size, c), psi) == pytest.approx(want, rel=2e-5, abs=0.0)
+
+
+def test_flat_infinite_b_tail_reaches_the_sup_at_infinity():
+    # psi = p^1e-300 is 1.0 in floats past the crossover 2, and |1_B|_p = |B|^(1/p) rises
+    # to 1: the tail extends until |B|^(1/P) rounds to 1, which is then the sup
+    psi = PsiSpec.zeta(1.0, INF, 1.0, -1e-300)
+    assert space_norm(box_indicator(make_grid(1, 1.0, 64), 1), psi) == 1.0

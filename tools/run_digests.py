@@ -4,8 +4,9 @@ Usage:
     python3 tools/run_digests.py > digests.txt
 
 Runs each config of perfbench.workloads.all_variants (every workload; the
-warm-ups are among them) and each configs/*.json through cli.run, in-process,
-with RuntimeWarning raised as an error.  Each line is
+warm-ups are among them) and each configs/*.json through cli.run, in-process
+(run_config, which tests/test_refs.py shares), with RuntimeWarning raised as
+an error.  Each line is
 
     <run id> <exit code> <sha256 over the run's files and stderr>
 
@@ -38,18 +39,25 @@ def runs():
         yield f"configs/{path.name}", json.loads(path.read_text())
 
 
-def digest(config: dict, tmp: Path) -> tuple:
-    """(exit code, sha256 over each output file's name and bytes, then stderr)."""
+def run_config(config: dict, tmp: Path) -> tuple:
+    """(exit code, output directory, stderr) of cli.run on config, written to
+    tmp/config.json, with its artifacts in tmp/out."""
     cfg, out = tmp / "config.json", tmp / "out"
     cfg.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.run(str(cfg), str(out))
+    return rc, out, err.getvalue()
+
+
+def digest(config: dict, tmp: Path) -> tuple:
+    """(exit code, sha256 over each output file's name and bytes, then stderr)."""
+    rc, out, err = run_config(config, tmp)
     h = hashlib.sha256()
     for f in sorted(out.rglob("*")) if out.exists() else ():
         if f.is_file():
             h.update(f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes() + b"\0")
-    h.update(err.getvalue().encode())
+    h.update(err.encode())
     return rc, h.hexdigest()
 
 
