@@ -227,22 +227,16 @@ def test_check_window():
     # a wider initial Gaussian leaves less room
     with pytest.raises(ValueError, match="safe"):
         check_window([4.0, 99.0], g, HEAT, sigma2_real=2.0)
-
-
-def test_check_window_bounds_the_largest_modulus():
+    # the largest |t| is bounded, and only schrodinger takes a negative time
     g = make_grid(1, 16.0, 256)  # schrodinger's safe bound is 2.47
     check_window([-2.0, 2.0], g, SCHRODINGER)
     with pytest.raises(ValueError, match=r"^t_grid .*\|min t\| = 1000 > safe bound 2\.47"):
         check_window([-1000.0, 2.0], g, SCHRODINGER)
     with pytest.raises(ValueError, match=r"^t .*max t = 1000 > safe bound 6\.11"):
         check_window([1000.0], g, HEAT, name="t")
-
-
-@pytest.mark.parametrize("kind", [HEAT, fractional(1.5)])
-def test_check_window_refuses_a_negative_time_but_for_schrodinger(kind):
-    g = make_grid(1, 16.0, 256)
-    with pytest.raises(ValueError, match="^t_grid holds the negative time -1"):
-        check_window([-1.0, 2.0], g, kind)
+    for kind in (HEAT, fractional(1.5)):
+        with pytest.raises(ValueError, match="^t_grid holds the negative time -1"):
+            check_window([-1.0, 2.0], g, kind)
 
 
 SYMBOLS = {
