@@ -30,14 +30,15 @@ import numpy as np
 
 from .functionals import (
     MIN_CURVE_SAMPLES,
-    MIN_FIT_SAMPLES,
     PREDICTED_SOURCES,
+    check_fit_times,
     fit_rate,
     mixed_norm,
     predicted_rate,
     space_norm,
     v_sr_curve,
     w_sp_curve,
+    x_norm,
 )
 from .grid_field import (
     INF,
@@ -56,7 +57,8 @@ from .propagators import (
     fractional,
     propagate,
 )
-from .spaces import CoverageError, PsiSpec, exponent_grid, fundamental_asymptotic, fundamental_gls
+from .spaces import (ASYMPTOTIC_REGIMES, CoverageError, PsiSpec, check_regime, exponent_grid,
+                     fundamental_asymptotic, fundamental_gls)
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
 
 _FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional": None}
@@ -257,24 +259,17 @@ def parse_kind(cfg: Fields) -> PropagatorKind:
         return fractional(cfg.block("kind").real("alpha"))
 
 
-def _check_times(t_grid, grid, kind: PropagatorKind, least: int, sigma2_real=1.0):
-    """Check t_grid against the wrap-around-safe window, then for at least ``least`` times."""
-    with _config_fault():
-        check_window(t_grid, grid, kind, sigma2_real)
-    if t_grid.size < least:
-        raise ConfigError(f"field t_grid must hold at least {least} times, got {t_grid.size}")
-
-
-def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None, least: int = 1):
-    """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked by
-    _check_times; the flow is read from the config unless given."""
+def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None):
+    """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked against
+    the flow's wrap-around-safe window; the flow is read from the config unless given."""
     grid = parse_grid(cfg)
     f, sigma2_real = parse_initial(cfg, grid)
     psiX, psiY = parse_psi(cfg, "X"), parse_psi(cfg, "Y")
     t_grid = parse_t_grid(cfg)
     if kind is None:
         kind = parse_kind(cfg)
-    _check_times(t_grid, grid, kind, least, sigma2_real)
+    with _config_fault():
+        check_window(t_grid, grid, kind, sigma2_real)
     return f, psiX, psiY, t_grid, kind
 
 
@@ -305,21 +300,19 @@ def _run_norms(cfg):
 def _run_fundamental(cfg):
     psi = parse_psi(cfg, "psi")
     deltas = cfg.reals("deltas", Fields.positive)
-    regime = cfg.choice("regime", ("small", "large"), None)
-    if regime and not (psi.variant == "zeta" and (regime == "small" or psi.b == INF)):
-        need = "a zeta psi with b = inf" if regime == "large" else "a zeta psi"
-        raise ConfigError(f"field regime: the {regime}-delta asymptotic needs {need}, got a "
-                          f"{psi.variant} psi on ({psi.a:g}, {psi.b:g})")
-    nums, asys, ratios = [], [], []
-    for delta in deltas:
-        nums.append(fundamental_gls(psi, delta))
-        if regime:
-            asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime))
-            ratios.append(nums[-1] / asys[-1])
+    regime = cfg.choice("regime", ASYMPTOTIC_REGIMES, None)
+    asys = []
+    if regime:  # the weight, then each delta, before any fundamental function is taken
+        with _config_fault("regime"):
+            check_regime(regime, psi.zeta_params)
+        for i, delta in enumerate(deltas):
+            with _config_fault(f"deltas.{i}"):
+                asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime))
+    nums = [fundamental_gls(psi, delta) for delta in deltas]
     rows = list(zip(_fmt(deltas), _fmt(nums), _fmt(asys) if asys else repeat(""), repeat("grid")))
     summary = {"deltas": deltas}
-    if ratios:
-        summary["num_over_asymptotic"] = ratios
+    if asys:
+        ratios = summary["num_over_asymptotic"] = [num / asy for num, asy in zip(nums, asys)]
         drift = [abs(ratios[i + 1] / ratios[i] - 1.0) for i in range(len(ratios) - 1)]
         summary["max_consecutive_drift"] = max(drift) if drift else 0.0
         summary["pass"] = bool(all(x < 0.10 for x in drift))
@@ -373,7 +366,6 @@ def _run_witness(cfg):
     t_grid = parse_t_grid(cfg)
     sp = cfg.data["experiment"] == "witness-sp"
     kind, nu = (parse_kind(cfg), parse_psi(cfg, "nu")) if sp else (SCHRODINGER, None)
-    _check_times(t_grid, grid, kind, MIN_FIT_SAMPLES)
     with _config_fault():
         rep = sp_witness(nu, t_grid, grid, kind=kind) if sp else sr_witness(t_grid, grid)
     rows = list(zip(*map(_fmt, (rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)),
@@ -394,7 +386,6 @@ def _run_moment_law(cfg):
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
     r_list = cfg.reals("r_list")
-    _check_times(t_grid, grid, SCHRODINGER, MIN_FIT_SAMPLES)
     with _config_fault():
         slopes = gaussian_moment_law_check(r_list, t_grid, grid)
     errs = [abs(f - p) for _, f, p in slopes]
@@ -423,12 +414,10 @@ def _run_mixed_norm(cfg):
 
 
 def _run_rate_report(cfg):
-    f, psiX, psiY, t_grid, kind = _parse_flow(cfg, least=MIN_FIT_SAMPLES)
+    f, psiX, psiY, t_grid, kind = _parse_flow(cfg)
     with_log = cfg.flag("with_log", True)
-    least = 1.0 if with_log else 0.0  # the fit takes log t, and under with_log log log t
-    if not t_grid[0] > least:
-        raise ConfigError(f"field t_grid: the rate fit{' with_log' if with_log else ''} needs "
-                          f"every time above {least:g}, got {t_grid[0]:g}")
+    with _config_fault():
+        check_fit_times(t_grid, with_log)
     block = cfg.block("predicted")
     source = block.choice("source", PREDICTED_SOURCES)
     params = {k: block.real(k) for k in block.data if k != "source"}
@@ -437,9 +426,7 @@ def _run_rate_report(cfg):
             pred = predicted_rate(source, **params)
     except KeyError as e:
         raise ConfigError(f"missing config field: {block.name(e.args[0])}")
-    norm_x = space_norm(f, psiX)
-    if norm_x == INF or norm_x == 0.0:
-        raise ValueError("initial data is not admissible in X")
+    norm_x = x_norm(f, psiX)
     vals = np.asarray([space_norm(propagate(f, kind, float(t)), psiY) / norm_x for t in t_grid])
     fit = fit_rate(t_grid, vals, with_log=with_log)
     delta_pct = abs(fit.slope - pred.power) / max(abs(pred.power), 1e-30) * 100.0

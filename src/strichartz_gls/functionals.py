@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_field import INF, GridFunction, moment_profile
-from .propagators import HEAT, SCHRODINGER, propagate
+from .propagators import HEAT, SCHRODINGER, fractional, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
 from .spaces import PsiSpec, _gls_sup, fundamental_gls
 
@@ -43,6 +43,19 @@ PREDICTED_SOURCES = ("parabolic-zeta", "schrodinger-zeta", "fractional", "fracti
 def space_norm(f: GridFunction, psi: PsiSpec) -> float:
     """The norm of f weighted by psi, its moment profile taken only where it can set the sup."""
     return _gls_sup(lambda q: moment_profile(f, q).values, psi)
+
+
+def x_norm(f: GridFunction, psiX: PsiSpec) -> float:
+    """||f||_X, a ValueError unless finite and nonzero: the functionals divide by it."""
+    if (norm_x := space_norm(f, psiX)) in (0.0, INF):
+        raise ValueError(f"f is not admissible in X: its norm is {norm_x:g}")
+    return norm_x
+
+
+def check_domain(t: float, name: str = "t"):
+    """Raise ValueError, naming the time ``name``, unless t > 2: the functionals' domain."""
+    if not t > 2:
+        raise ValueError(f"functionals are defined for t > 2, got {name}={t}")
 
 
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
@@ -73,16 +86,11 @@ def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid[1:] <= t_grid[:-1]).any():
         raise ValueError("t_grid must be strictly increasing")
-    norm_x = space_norm(f, psiX)
-    if norm_x == INF:
-        raise ValueError("f is not in X (infinite norm)")
-    if norm_x == 0.0:
-        raise ValueError("f has zero norm in X")
+    norm_x = x_norm(f, psiX)
     ts, vals, excl = [], [], []
     for t in t_grid.tolist():
         try:
-            if not t > 2:
-                raise ValueError(f"functionals are defined for t > 2, got t={t}")
+            check_domain(t)
             v = at(t, norm_x)
         except ValueError as e:
             excl.append((t, str(e)))
@@ -223,8 +231,7 @@ def predicted_rate(source: str, **params) -> PredictedRate:
         return PredictedRate(power, -params.get("beta1", 0.0))
     if source in ("fractional", "fractional-laplacian"):
         alpha, p, r = params["alpha"], params["p"], params["r"]
-        if not 0 < alpha <= 2:
-            raise ValueError("need alpha in (0, 2]")
+        fractional(alpha)  # raises unless 0 < alpha <= 2
         if not 1 <= p <= r:
             raise ValueError("need 1 <= p <= r")
         power = (d / alpha) * (1.0 / r - 1.0 / p)
@@ -255,22 +262,26 @@ class RateFit:
     n_samples: int
 
 
+def check_fit_times(t_grid, with_log: bool = False):
+    """Raise ValueError unless fit_rate can take t_grid: it needs log t, and log log t with_log."""
+    t, least = np.asarray(t_grid, dtype=float), float(with_log)
+    if t.size < MIN_FIT_SAMPLES or not t.min(initial=INF) > least:
+        raise ValueError(f"t_grid: the rate fit{' with_log' if with_log else ''} needs at least "
+                         f"{MIN_FIT_SAMPLES} times, each above {least:g}; got {t.size}, the "
+                         f"least {t.min(initial=INF):g}")
+
+
 def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:
     """Fit log y against {1, log t} or {1, log t, log log t}."""
     t = np.asarray(t_grid, dtype=float)
     y = np.asarray(values, dtype=float)
-    if t.size < MIN_FIT_SAMPLES:
-        raise ValueError(f"rate fit needs at least {MIN_FIT_SAMPLES} samples")
-    if not np.all(t > 0):
-        raise ValueError("rate fit requires positive times")
+    check_fit_times(t, with_log)
     if np.any(y <= 0):
         raise ValueError("rate fit requires positive values")
     lt = np.log(t)
     ly = np.log(y)
     cols = [np.ones_like(lt), lt]
     if with_log:
-        if np.any(lt <= 0):
-            raise ValueError("log-corrected fit requires t > 1 throughout")
         cols.append(np.log(lt))
     A = np.vstack(cols).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)

@@ -32,6 +32,7 @@ TAIL_MASS_TOL = 1e-10
 EXP_UNDERFLOW = -746.0
 # elements of one block of exp(p * log a) terms; 2**18 ran no faster and raised peak RSS
 BLOCK_ELEMENTS = 2 ** 14
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -120,7 +121,7 @@ def _bounded_product(maxima) -> bool:
     _tensor_product multiplies, is below half the largest float (false for a NaN or
     infinite entry): every entry of the outer product, complex rounding included, is
     then finite."""
-    return all(b < np.finfo(float).max / 2 for b in itertools.accumulate(maxima, operator.mul))
+    return all(b < _HALF_MAX for b in itertools.accumulate(maxima, operator.mul))
 
 
 def _sorted_neg_log(v: np.ndarray) -> tuple:

@@ -61,6 +61,12 @@ class PropagatorKind:
         elif self.alpha is not None:
             raise ValueError("alpha is only meaningful for the fractional kind")
 
+    def check_time(self, t: float, name: str = "t"):
+        """Raise ValueError, naming the time ``name``, if t < 0 and the flow is not schrodinger."""
+        if t < 0 and self.kind != "schrodinger":
+            raise ValueError(f"{name} holds the negative time {t:g}: only the "
+                             f"schrodinger flow runs backward, not {self.kind}")
+
 
 HEAT = PropagatorKind("heat")
 SCHRODINGER = PropagatorKind("schrodinger")
@@ -109,8 +115,7 @@ def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
     """The flow of the given kind at time t, applied through its multiplier; a factored
     f under a product flow gives a factored field, each factor propagated alone; at
     t = 0, a new field on f's own read-only parts."""
-    if t < 0 and kind.kind != "schrodinger":
-        raise ValueError(f"negative time is only legal for schrodinger, got t={t}")
+    kind.check_time(t)
     if t == 0:
         return copy.copy(f)
     m = _axis_symbol(f.grid, kind, t) if f.factors is not None else None
@@ -129,8 +134,7 @@ def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float)
         return s2 + 1j * t
     if kind.kind == "fractional" and kind.alpha != 2:
         raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
-    if t < 0:
-        raise ValueError(f"negative time is not legal for {kind.kind}")
+    kind.check_time(t)
     rate = 1.0 if kind.kind == "heat" else 2.0
     return s2 + rate * t
 
@@ -167,9 +171,7 @@ def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 
     """Raise ValueError, naming the times ``name``, when a time is negative for a flow
     other than schrodinger, or when the largest |t| lies beyond safe_time_bound."""
     tmin, tmax = float(np.min(t_grid)), float(np.max(t_grid))
-    if tmin < 0 and kind.kind != "schrodinger":
-        raise ValueError(f"{name} holds the negative time {tmin:g}: only the "
-                         f"schrodinger flow runs backward, not {kind.kind}")
+    kind.check_time(tmin, name)
     bound = safe_time_bound(grid, kind, sigma2_real)
     if max(tmax, -tmin) > bound:
         worst = f"max t = {tmax:g}" if tmax >= -tmin else f"|min t| = {-tmin:g}"

@@ -34,6 +34,7 @@ PROFILE_MIN_OFFSET = 1e-3  # least offset from a and b of the exponents a norm s
 GOLDEN_REL_TOL = 1e-12  # _golden_max stops at this bracket width over max(1, |lo| + |hi|)
 GOLDEN_MAX_ITER = 200
 TAIL_STEPS = 58  # exponents from P to 8 P past a b = inf weight's samples: 64 per decade
+ASYMPTOTIC_REGIMES = ("small", "large")  # of fundamental_asymptotic
 
 
 def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
@@ -381,18 +382,23 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
 
 
-def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> float:
-    """Closed-form fundamental-function asymptotics for zeta-weight spaces.
+def check_regime(regime: str, params: Optional[ZetaParams]):
+    """Raise ValueError unless params (None: not a zeta weight) admit the asymptotic regime."""
+    if regime not in ASYMPTOTIC_REGIMES or params is None or regime == "large" and params.b < INF:
+        raise ValueError(f"no {regime!r} asymptotic for this weight: the small-delta one needs "
+                         "a zeta weight, the large-delta one a zeta weight with b = inf")
 
-    Regimes: "small" (delta < e^-2) with either finite b or b = inf, and
-    "large" (delta > e^2, b = inf only).
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+
+def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> float:
+    """Closed-form fundamental-function asymptotics for zeta-weight spaces, in a regime
+    that check_regime admits for params: "small" (0 < delta < e^-2) or "large" (delta > e^2)."""
+    check_regime(regime, params)
+    small = regime == "small"
+    if not (0 < delta < math.exp(-2.0) if small else delta > math.exp(2.0)):
+        raise ValueError(f"the {regime}-delta asymptotic needs "
+                         f"{'0 < delta < e^-2' if small else 'delta > e^2'}, got {delta:g}")
     a, b, alpha, beta = params.a, params.b, params.alpha, params.beta
-    if regime == "small":
-        if not delta < math.exp(-2.0):
-            raise ValueError("small regime requires delta < e^-2")
+    if small:
         m = abs(beta)  # ZetaParams holds alpha, beta >= 0 for a finite b, beta < 0 for b = inf
         try:
             if b == INF:
@@ -405,11 +411,5 @@ def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> flo
         except OverflowError:
             raise OverflowError(f"evaluating the small-delta asymptotic overflows a float at "
                                 f"delta = {delta:g}") from None
-    if regime == "large":
-        if not delta > math.exp(2.0):
-            raise ValueError("large regime requires delta > e^2")
-        if not (b == INF and beta < 0):
-            raise ValueError("large-delta form requires b = inf and beta < 0")
-        pre = 1.0 if alpha == 0 else (a * a * alpha / math.e) ** alpha
-        return pre * delta ** (1.0 / a) * math.log(delta) ** (-a)
-    raise ValueError(f"unknown regime {regime!r}")
+    pre = 1.0 if alpha == 0 else (a * a * alpha / math.e) ** alpha
+    return pre * delta ** (1.0 / a) * math.log(delta) ** (-a)

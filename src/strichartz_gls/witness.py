@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import fit_rate, v_sr_curve, w_sp_curve
+from .functionals import check_domain, check_fit_times, fit_rate, v_sr_curve, w_sp_curve
 from .grid_field import (
     INF,
     GaussianSpec,
@@ -73,11 +73,11 @@ class WitnessReport:
 
 
 def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
-    """t_grid as an array, checked against the safe window and t > 2."""
+    """t_grid as an array, checked for the window, the rate fit and t > 2 before any flow."""
     t_grid = np.asarray(t_grid, dtype=float)
     check_window(t_grid, grid, kind)
-    if np.any(t_grid <= 2):
-        raise ValueError("t_grid: witness times must exceed 2")
+    check_fit_times(t_grid)
+    check_domain(float(t_grid.min()), "min t_grid")
     return t_grid
 
 
@@ -87,25 +87,23 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     The grid channel is w_sp_curve.  kind may be the heat flow or the fractional
     flow with order 2 (whose exact channel is the heat evolution at doubled time).
     """
+    t_grid = _witness_times(t_grid, grid, kind)
     if nu.variant != "degenerate" and not nu.a > 1:
         raise ValueError("the witness requires the Y support to start above 1")
-    if kind.kind == "fractional" and kind.alpha != 2:
-        raise ValueError("fractional witness has a closed form only at order 2")
     if kind.kind == "schrodinger":
         raise ValueError("use sr_witness for the dispersive group")
-    t_grid = _witness_times(t_grid, grid, kind)
     d = grid.dim
     expo = d / 2.0 if kind.kind == "heat" else d / kind.alpha
 
     spec = GaussianSpec(1.0, d)
-    curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     closed_vals = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
+    for i, t in enumerate(t_grid):  # first: the exact evolution refuses a fractional order != 2
         variance = propagate_gaussian_exact(spec, kind, float(t))
         phi_y = fundamental_gls(nu, float(t) ** expo)
         phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
         exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
         closed_vals[i] = (_gls_sup(exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
+    curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 

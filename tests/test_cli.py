@@ -24,9 +24,14 @@ def _run(cfg_path, out_dir):
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda p: p.stem)
-def test_shipped_configs_run_clean(cfg, tmp_path):
+def test_shipped_configs_run_clean(cfg, tmp_path, monkeypatch):
+    windows, check_window = [], cli.check_window
+    for module in (cli, witness):  # every run with times checks them against its window once
+        monkeypatch.setattr(module, "check_window", lambda *a, **k: windows.append(a)
+                            or check_window(*a, **k))
     assert _run(cfg, tmp_path / cfg.stem) == 0
     data = json.loads(cfg.read_text())
+    assert len(windows) == (data["experiment"] not in ("norms", "fundamental", "mixed-norm"))
     prefix = data.get("out_prefix", data["experiment"].replace("-", "_"))
     written = {p.name for p in (tmp_path / cfg.stem).iterdir()}
     # one CSV and one summary per run; mixed-norm has no CSV
@@ -278,6 +283,28 @@ def test_steep_zeta_weight_is_accepted(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(str(path), str(tmp_path / "fund")) == 2
     assert capsys.readouterr().err.startswith("numerical-domain error")
+
+
+@pytest.mark.parametrize("regime, psi, deltas, field", [
+    ("small", None, [1e-6, 0.5], "deltas.1"),
+    ("small", None, [math.exp(-2.0)], "deltas.0"),
+    ("large", {"variant": "zeta", "a": 1.0, "b": "inf", "alpha": 1.0, "beta": -1.0}, [2.0],
+     "deltas.0"),
+    ("large", {"variant": "zeta", "a": 1.0, "b": "inf", "alpha": 1.0, "beta": -1.0},
+     [1e6, math.exp(2.0)], "deltas.1"),
+], ids=["small-0.5", "small-e^-2", "large-2", "large-e^2"])
+def test_delta_outside_its_regime_is_a_config_fault(regime, psi, deltas, field, tmp_path,
+                                                    capsys, monkeypatch):
+    # each used to exit 2 naming no field, after the fundamental functions before it
+    monkeypatch.setattr(cli, "fundamental_gls", lambda *a: pytest.fail("computed a phi"))
+    cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())
+    cfg.update(regime=regime, deltas=deltas, **({"psi": psi} if psi else {}))
+    path = tmp_path / "fund.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid {field}: the {regime}-delta asymptotic needs"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_small_delta_asymptotic_says_so(tmp_path, capsys):

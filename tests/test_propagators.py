@@ -138,9 +138,17 @@ def test_propagate_time_zero_shares_the_values(kind):
 def test_propagate_rejects_negative_time_for_dissipative():
     g, f = _setup()
     with pytest.raises(ValueError):
-        propagate(f, HEAT, -1.0)
-    with pytest.raises(ValueError):
         propagate(f, fractional(1.5), -1.0)
+    # the flow, its exact Gaussian evolution and its window state one backward-time rule
+    messages = set()
+    for refuse in (lambda: propagate(f, HEAT, -1.0),
+                   lambda: propagate_gaussian_exact(GaussianSpec(1.0, 1), HEAT, -1.0),
+                   lambda: check_window([-1.0], g, HEAT, name="t")):
+        with pytest.raises(ValueError) as e:
+            refuse()
+        messages.add(str(e.value))
+    assert messages == {"t holds the negative time -1: only the schrodinger flow runs backward, "
+                        "not heat"}
 
 
 def test_fractional_rejects_bad_alpha():

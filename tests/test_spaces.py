@@ -398,7 +398,7 @@ def test_asymptotic_regime_guards():
         # finite b has no large-delta closed form
         fundamental_asymptotic(zp, 1e6, regime="large")
     for delta in (0.0, -1.0):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match=r"needs 0 < delta < e\^-2, got"):
             fundamental_asymptotic(zp, delta, regime="small")
 
 

@@ -43,8 +43,8 @@ def test_sp_witness_two_channels_agree():
 @pytest.mark.parametrize("nu, grid, times, kind", [
     (PsiSpec.table({2.0: 1.0, 4.0: 1.0}), SP_GRID, [4.0, 16.0, 64.0, 256.0, 512.0],
      fractional(2.0)),
-    (PsiSpec.zeta(1.5, 6.0, 1.0, 1.0), make_grid(2, 60.0, 256), [4.0, 16.0, 64.0], HEAT),
-    (PsiSpec.degenerate(3.0), make_grid(3, 24.0, 32), [3.0, 6.0, 12.0], HEAT),
+    (PsiSpec.zeta(1.5, 6.0, 1.0, 1.0), make_grid(2, 60.0, 256), [4.0, 16.0, 32.0, 64.0], HEAT),
+    (PsiSpec.degenerate(3.0), make_grid(3, 24.0, 32), [3.0, 6.0, 9.0, 12.0], HEAT),
 ], ids=["d1-fractional-table", "d2-heat-zeta", "d3-heat-L3"])
 def test_sp_witness_grid_channel_is_the_functional_curve(nu, grid, times, kind):
     f = gaussian_sample(grid, GaussianSpec(1.0, grid.dim))
@@ -55,7 +55,8 @@ def test_sp_witness_grid_channel_is_the_functional_curve(nu, grid, times, kind):
 
 
 @pytest.mark.parametrize("grid, times", [(SR_GRID, SR_TIMES), (make_grid(2, 48.0, 256),
-                                                               [3.0, 5.0, 7.0])], ids=["d1", "d2"])
+                                                               [3.0, 4.0, 5.0, 7.0])],
+                         ids=["d1", "d2"])
 def test_sr_witness_grid_channel_is_the_functional_curve(grid, times):
     f = gaussian_sample(grid, GaussianSpec(1.0, grid.dim))
     curve = v_sr_curve(f, PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF), times)
@@ -115,8 +116,8 @@ def test_sp_witness_guards():
     nu = PsiSpec.table({2.0: 1.0, 4.0: 1.0})
     with pytest.raises(ValueError):
         sp_witness(nu, [4.0, 1e6], SP_GRID)  # outside the safe window
-    with pytest.raises(ValueError):
-        sp_witness(nu, [1.0, 4.0], SP_GRID)  # t <= 2
+    with pytest.raises(ValueError, match="defined for t > 2"):
+        sp_witness(nu, [1.0, 4.0, 16.0, 64.0], SP_GRID)
     with pytest.raises(ValueError):
         sp_witness(nu, SP_TIMES, SP_GRID, kind=fractional(1.5))
     with pytest.raises(ValueError):
@@ -138,8 +139,8 @@ def test_sr_witness_flat_positive_limit():
 
 
 def test_sr_witness_guards():
-    with pytest.raises(ValueError):
-        sr_witness([1.0, 16.0], SR_GRID)
+    with pytest.raises(ValueError, match="defined for t > 2"):
+        sr_witness([1.0, 16.0, 32.0, 64.0], SR_GRID)
     with pytest.raises(ValueError):
         sr_witness(np.geomspace(16.0, 1e7, 5), SR_GRID)
 
@@ -162,15 +163,15 @@ def test_moment_law_check_guards():
 # Gaussian needs h <= 0.375: its spectrum exp(-xi^2/2) at the Nyquist
 # frequency pi/h is then below 1e-15 (at h = 0.75 the gap is 3e-5); the heat
 # flow damps those modes, so the parabolic witness tolerates h = 0.75.
-@pytest.mark.parametrize("d, L, n, times", [(2, 60.0, 256, [4.0, 16.0, 64.0]),
-                                            (3, 24.0, 64, [4.0, 12.0])], ids=["d2", "d3"])
+@pytest.mark.parametrize("d, L, n, times", [(2, 60.0, 256, [4.0, 16.0, 32.0, 64.0]),
+                                            (3, 24.0, 64, [4.0, 6.0, 9.0, 12.0])], ids=["d2", "d3"])
 def test_sp_witness_heat_in_higher_dimension(d, L, n, times):
     rep = sp_witness(PsiSpec.table({2.0: 1.0, 4.0: 1.0}), times, make_grid(d, L, n))
     assert rep.max_gap < GAP_TOL
 
 
-@pytest.mark.parametrize("d, L, n, times", [(2, 48.0, 256, [3.0, 5.0, 7.0]),
-                                            (3, 24.0, 128, [2.5, 3.5])], ids=["d2", "d3"])
+@pytest.mark.parametrize("d, L, n, times", [(2, 48.0, 256, [3.0, 4.0, 5.0, 7.0]),
+                                            (3, 24.0, 128, [2.5, 2.8, 3.1, 3.5])], ids=["d2", "d3"])
 def test_sr_witness_in_higher_dimension(d, L, n, times):
     rep = sr_witness(times, make_grid(d, L, n))
     assert rep.max_gap < GAP_TOL
