@@ -19,7 +19,6 @@ from .grid_field import (
 )
 from .spaces import (
     PsiSpec,
-    ZetaParams,
     exponent_grid,
     fundamental_asymptotic,
     fundamental_gls,

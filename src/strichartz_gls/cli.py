@@ -45,6 +45,7 @@ from .grid_field import (
     GaussianSpec,
     GridFunction,
     box_indicator,
+    check_increasing,
     gaussian_sample,
     make_grid,
     moment_profile,
@@ -213,9 +214,8 @@ def parse_t_grid(cfg: Fields) -> np.ndarray:
         if stop <= start or start <= 0:
             raise ConfigError("field t_grid: need 0 < start < stop")
         t = (np.geomspace if spacing == "geometric" else np.linspace)(start, stop, count)
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError("field t_grid: times must be strictly increasing")
-    return t
+    with _config_fault():
+        return check_increasing(t, "t_grid")
 
 
 def parse_grid(cfg: Fields):
@@ -266,8 +266,7 @@ def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None):
     f, sigma2_real = parse_initial(cfg, grid)
     psiX, psiY = parse_psi(cfg, "X"), parse_psi(cfg, "Y")
     t_grid = parse_t_grid(cfg)
-    if kind is None:
-        kind = parse_kind(cfg)
+    kind = kind or parse_kind(cfg)
     with _config_fault():
         check_window(t_grid, grid, kind, sigma2_real)
     return f, psiX, psiY, t_grid, kind
@@ -304,10 +303,10 @@ def _run_fundamental(cfg):
     asys = []
     if regime:  # the weight, then each delta, before any fundamental function is taken
         with _config_fault("regime"):
-            check_regime(regime, psi.zeta_params)
+            check_regime(regime, psi)
         for i, delta in enumerate(deltas):
             with _config_fault(f"deltas.{i}"):
-                asys.append(fundamental_asymptotic(psi.zeta_params, delta, regime))
+                asys.append(fundamental_asymptotic(psi, delta, regime))
     nums = [fundamental_gls(psi, delta) for delta in deltas]
     rows = list(zip(_fmt(deltas), _fmt(nums), _fmt(asys) if asys else repeat(""), repeat("grid")))
     summary = {"deltas": deltas}
@@ -408,8 +407,9 @@ def _run_mixed_norm(cfg):
                           f"got {t_min:g} >= {t_max:g}")
     count = curve.integer("count", 2048, least=MIN_CURVE_SAMPLES, cap=MAX_CURVE_SAMPLES)
     t = np.geomspace(t_min, t_max, count)
-    with np.errstate(over="ignore"):  # a steep curve overflows to inf, which is its value
-        value = mixed_norm(t, coef * t ** power, theta)
+    # a steep curve overflows to inf, which is its value; the zero curve is 0, never 0 * inf
+    with np.errstate(over="ignore"):
+        value = mixed_norm(t, coef * t ** power if coef else np.zeros(count), theta)
     return None, [], {"value": ("inf" if value == INF else value), "finite": bool(value != INF)}
 
 

@@ -7,7 +7,8 @@ at the diffusive scale t^(d/2).  The dispersive (group) functional uses
 t^(-d/2) ||U_t f||_Y / (||f||_X phi(X, K t^-d)); a switch selects the
 alternative phi(X, t^(d/2)) normalization.  Each functional is its curve
 over a time grid (w_sp_curve, v_sr_curve); a single time is a one-time grid.
-A sweep checks its inputs once, up front, and returns a plain FunctionalCurve.
+A sweep checks its inputs once, up front, and returns a plain FunctionalCurve; the
+order of its times, as of mixed_norm's, is grid_field.check_increasing's rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import INF, GridFunction, moment_profile
+from .grid_field import INF, GridFunction, check_increasing, moment_profile
 from .propagators import HEAT, SCHRODINGER, fractional, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
 from .spaces import PsiSpec, _gls_sup, fundamental_gls
@@ -60,10 +61,7 @@ def check_domain(t: float, name: str = "t"):
 
 def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
     if max(psiX.a, psiX.b) > min(psiY.a, psiY.b):
-        warnings.warn(
-            "exponent supports overlap: msupp(X) is not below msupp(Y)",
-            stacklevel=3,
-        )
+        warnings.warn("exponent supports overlap: msupp(X) is not below msupp(Y)", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,7 @@ def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
     with no finite nonzero norm in X raises once, before the first time."""
     for psi in (psiX, psiY):
         psi.samples  # raises for an uncovered weight
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid[1:] <= t_grid[:-1]).any():
-        raise ValueError("t_grid must be strictly increasing")
+    t_grid = check_increasing(t_grid, "t_grid")
     norm_x = x_norm(f, psiX)
     ts, vals, excl = [], [], []
     for t in t_grid.tolist():
@@ -109,14 +105,12 @@ def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCu
     """Parabolic two-space functional of a single f over a time grid.
 
     [||T_t f||_Y / phi(Y, K1 t^e)] / [||f||_X / phi(X, K2 t^e)] with
-    e = d/2 for heat and d/alpha for the fractional flow.
+    e = kind.sp_exponent(d): d/2 for heat and d/alpha for the fractional flow.
     """
     if not (0 < K1 < INF and 0 < K2 < INF):
         raise ValueError("constants K1, K2 must be positive and finite")
-    if kind.kind == "schrodinger":
-        raise ValueError("use v_sr_curve for the dispersive group")
+    expo = kind.sp_exponent(f.grid.dim)
     _warn_overlap(psiX, psiY)
-    expo = f.grid.dim / 2.0 if kind.kind == "heat" else f.grid.dim / kind.alpha
 
     def at(t: float, norm_x: float) -> float:
         norm_y = space_norm(propagate(f, kind, t), psiY)
@@ -156,14 +150,15 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
 
     Returns math.inf when the time integral diverges; divergence at t -> 0
     is detected from the local power-law exponent of the smallest samples.
+    The times must be finite, positive and increasing, the samples >= 0 (not NaN).
     """
-    t = np.asarray(t_samples, dtype=float)
-    y = np.asarray(y_samples, dtype=float)
+    t, y = np.asarray(t_samples, dtype=float), np.asarray(y_samples, dtype=float)
     if t.size < MIN_CURVE_SAMPLES:
         raise ValueError("curve must be sampled densely")
-    if np.any(np.diff(t) <= 0) or np.any(t <= 0):
-        raise ValueError("time samples must be positive and increasing")
-    if np.any(y < 0):
+    check_increasing(t, "t_samples")
+    if not 0 < t[0] <= t[-1] < INF:
+        raise ValueError(f"t_samples must be positive and finite, got {t[0]:g} to {t[-1]:g}")
+    if not (y >= 0).all():  # a NaN fails it
         raise ValueError("curve values must be nonnegative")
 
     # local exponent near t -> 0 from the smallest samples
@@ -276,8 +271,8 @@ def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:
     t = np.asarray(t_grid, dtype=float)
     y = np.asarray(values, dtype=float)
     check_fit_times(t, with_log)
-    if np.any(y <= 0):
-        raise ValueError("rate fit requires positive values")
+    if not ((y > 0) & (y < INF)).all():  # a NaN fails it
+        raise ValueError("rate fit requires positive finite values")
     lt = np.log(t)
     ly = np.log(y)
     cols = [np.ones_like(lt), lt]

@@ -10,6 +10,7 @@ sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|, each max taken once, at
 construction.  Its values are built only for a caller that reads nodes
 (f + g, c * f, spectrum, the propagate CSV).
 moment_profile checks its exponents; the MomentProfile it returns is plain data.
+check_increasing is the one order rule on exponents and times, wherever they are given.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ _HALF_MAX = np.finfo(float).max / 2
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def check_increasing(x, name: str) -> np.ndarray:
+    """x as a float array, a ValueError naming ``name`` unless each entry lies above the one
+    before: a NaN or a repeated inf fails this slice comparison, with no numpy warning."""
+    x = np.asarray(x, dtype=float)
+    if not (up := x[1:] > x[:-1]).all():
+        i = int(np.argmin(up))
+        raise ValueError(f"{name} must be strictly increasing, got {x[i]:g} then {x[i + 1]:g}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -349,8 +360,7 @@ def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     below = ~(p >= 1)  # NaN included
     if below.any():
         raise ValueError(f"exponent must satisfy p >= 1, got {p[below][0]}")
-    if (p[1:] <= p[:-1]).any():  # not np.diff: inf - inf would pass a repeated inf
-        raise ValueError("p_grid must be strictly increasing")
+    check_increasing(p, "p_grid")
     finite = p[p != INF]
     if finite.size > 1:
         n = f._parts[0].size

@@ -67,6 +67,13 @@ class PropagatorKind:
             raise ValueError(f"{name} holds the negative time {t:g}: only the "
                              f"schrodinger flow runs backward, not {self.kind}")
 
+    def sp_exponent(self, d: int) -> float:
+        """The exponent e of the SP functional's scale t^e in d dimensions: d/2 for heat,
+        d/alpha for the fractional flow; the schrodinger group has no SP functional."""
+        if self.kind == "schrodinger":
+            raise ValueError("the schrodinger group has no SP functional: use the SR one")
+        return d / 2.0 if self.kind == "heat" else d / self.alpha
+
 
 HEAT = PropagatorKind("heat")
 SCHRODINGER = PropagatorKind("schrodinger")

@@ -2,7 +2,9 @@
 fundamental functions.
 
 A weight psi lives on an exponent interval (a, b), 1 <= a < b <= inf, is
-positive and continuous there, and bounded away from zero.  The norm of a
+positive and continuous there, and bounded away from zero.  PsiSpec is the one
+weight record, checked at construction; check_interval states the rule
+1 <= a < b for weights and exponent grids alike.  The norm of a
 moment profile h is sup_p h(p)/psi(p); the fundamental function at delta
 is sup_p delta^(1/p)/psi(p).  PsiSpec.samples builds the exponents a norm
 samples, once per weight, and checks there that they cover (a, b).
@@ -11,17 +13,17 @@ samples, once per weight, and checks there that they cover (a, b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid_field import INF
+from .grid_field import INF, check_increasing
 
 __all__ = [
-    "ZetaParams",
     "PsiSpec",
+    "check_interval",
     "zeta_crossover",
     "zeta_eval",
     "exponent_grid",
@@ -37,6 +39,12 @@ TAIL_STEPS = 58  # exponents from P to 8 P past a b = inf weight's samples: 64 p
 ASYMPTOTIC_REGIMES = ("small", "large")  # of fundamental_asymptotic
 
 
+def check_interval(a: float, b: float):
+    """Raise ValueError unless 1 <= a < b: the exponent interval of a weight or a grid."""
+    if not 1 <= a < b:
+        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
+
+
 def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
     """Root h of (h-a)^alpha = (b-h)^beta (finite b) or = h^beta (b = inf).
 
@@ -44,8 +52,7 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
     interior root in general; the conventional values h = b-1 (finite b,
     if inside the interval) and h = a (b = inf, a = 1) are used instead.
     """
-    if not (1 <= a < b):
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
+    check_interval(a, b)
     if b == INF:
         if not (alpha >= 0 and beta < 0):
             raise ValueError("b = inf requires alpha >= 0 and beta < 0")
@@ -65,15 +72,11 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
             raise ValueError("finite b requires min(alpha, beta) >= 0")
         if alpha == 0 and beta == 0:
             return 0.5 * (a + b)
-        if alpha == 0:
-            h = b - 1.0
+        if alpha == 0 or beta == 0:
+            h = b - 1.0 if alpha == 0 else a + 1.0
             if not a < h < b:
-                raise ValueError("no crossover for alpha = 0 on this interval")
-            return h
-        if beta == 0:
-            h = a + 1.0
-            if not a < h < b:
-                raise ValueError("no crossover for beta = 0 on this interval")
+                raise ValueError(f"no crossover for {'alpha' if alpha == 0 else 'beta'} = 0 "
+                                 "on this interval")
             return h
 
         def fun(h):  # its sign alone is read
@@ -95,26 +98,6 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ZetaParams:
-    """Piecewise power weight: (p-a)^alpha below the crossover h, then
-    (b-p)^beta (finite b) or p^beta (b = inf)."""
-
-    a: float
-    b: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h", zeta_crossover(self.a, self.b, self.alpha, self.beta)
-        )
-
-    @property
-    def crossover(self) -> float:
-        return self._h
-
-
 def _check_inside(p, a: float, b: float):
     """Raise unless p, a float or every point of an array, lies in (a, b)."""
     lo, hi = (p.min(), p.max()) if isinstance(p, np.ndarray) else (p, p)
@@ -122,49 +105,52 @@ def _check_inside(p, a: float, b: float):
         raise ValueError(f"p = {hi if a < lo else lo} outside ({a}, {b})")
 
 
-def _zeta_at(params: ZetaParams, p: float) -> float:
+def _zeta_at(psi: PsiSpec, p: float) -> float:
     """zeta at one exponent p, unchecked: p must lie in (a, b)."""
-    if p < params.crossover:
-        return (p - params.a) ** params.alpha
-    return (p if params.b == INF else params.b - p) ** params.beta
+    if p < psi.crossover:
+        return (p - psi.a) ** psi.alpha
+    return (p if psi.b == INF else psi.b - p) ** psi.beta
 
 
-def zeta_eval(params: ZetaParams, p):
-    """zeta at p, a float or an array of exponents (a float in gives a float out).
+def zeta_eval(psi: PsiSpec, p):
+    """zeta of a zeta weight at p, a float or an array of exponents (a float in gives a float out).
 
     Each point takes one power, of the base and exponent of its own side of
     the crossover, so no side is evaluated where it could overflow."""
-    _check_inside(p, params.a, params.b)
+    if psi.variant != "zeta":
+        raise ValueError(f"zeta_eval needs a zeta weight, got a {psi.variant} one")
+    _check_inside(p, psi.a, psi.b)
     if not isinstance(p, np.ndarray):
-        return _zeta_at(params, p)
-    far = p if params.b == INF else params.b - p
-    below = p < params.crossover
-    return np.where(below, p - params.a, far) ** np.where(below, params.alpha, params.beta)
+        return _zeta_at(psi, p)
+    far = p if psi.b == INF else psi.b - p
+    below = p < psi.crossover
+    return np.where(below, p - psi.a, far) ** np.where(below, psi.alpha, psi.beta)
 
 
 @dataclass(frozen=True)
 class PsiSpec:
     """A weight on (a, b) defining a Grand Lebesgue norm.
 
-    Variants: "zeta" (psi = 1/zeta), "degenerate" (plain L_s, a = b = s),
-    "table" (log-linearly interpolated samples).
+    Variants: "zeta" (psi = 1/zeta, zeta the piecewise power (p-a)^alpha below the
+    crossover, then (b-p)^beta for finite b or p^beta for b = inf), "degenerate"
+    (plain L_s, a = b = s), "table" (log-linearly interpolated samples).
     """
 
     a: float
     b: float
     variant: str
-    zeta_params: Optional[ZetaParams] = None
+    alpha: Optional[float] = None
+    beta: Optional[float] = None
     table_p: Optional[np.ndarray] = None
     table_v: Optional[np.ndarray] = None
+    crossover: Optional[float] = field(default=None, init=False)  # of a zeta weight
 
     @classmethod
     def zeta(cls, a: float, b: float, alpha: float, beta: float) -> "PsiSpec":
-        return cls(a=a, b=b, variant="zeta", zeta_params=ZetaParams(a, b, alpha, beta))
+        return cls(a, b, "zeta", alpha=alpha, beta=beta)
 
     @classmethod
     def degenerate(cls, s: float) -> "PsiSpec":
-        if not (s >= 1 or s == INF):
-            raise ValueError(f"degenerate exponent must be >= 1, got {s}")
         return cls(a=s, b=s, variant="degenerate")
 
     @classmethod
@@ -173,23 +159,33 @@ class PsiSpec:
         keys = sorted(points, key=float)
         p = np.array([float(k) for k in keys], dtype=float)
         v = np.array([float(points[k]) for k in keys], dtype=float)
-        if p.size < 2:
-            raise ValueError("table weight needs at least two points")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("table weight exponents must be finite")
-        if np.any(np.diff(p) == 0):  # the keys are sorted, so a zero gap is the least
-            raise ValueError(f"table weight gives exponent {p[np.argmin(np.diff(p))]:g} twice")
-        if not np.all((v > 0) & np.isfinite(v)):
-            raise ValueError("table weight values must be positive and finite")
-        return cls(a=float(p[0]), b=float(p[-1]), variant="table", table_p=p, table_v=v)
+        ends = (float(p[0]), float(p[-1])) if p.size else (math.nan, math.nan)
+        return cls(*ends, "table", table_p=p, table_v=v)
 
     def __post_init__(self):
-        if self.variant not in ("zeta", "degenerate", "table"):
+        if self.variant == "degenerate":
+            if not self.a == self.b >= 1:
+                raise ValueError(f"degenerate exponent must be >= 1, got a={self.a}, b={self.b}")
+        elif self.variant == "zeta":
+            if self.alpha is None or self.beta is None:
+                raise ValueError("a zeta weight needs alpha and beta")
+            object.__setattr__(self, "crossover",  # zeta_crossover checks 1 <= a < b
+                               zeta_crossover(self.a, self.b, self.alpha, self.beta))
+        elif self.variant == "table":
+            p, v = (np.asarray(x, dtype=float) for x in (self.table_p, self.table_v))
+            if p.size < 2 or v.shape != p.shape:
+                raise ValueError("table weight needs at least two points")
+            if not np.all(np.isfinite(p)):
+                raise ValueError("table weight exponents must be finite")
+            check_increasing(p, "table weight exponents")
+            if not np.all((v > 0) & np.isfinite(v)):
+                raise ValueError("table weight values must be positive and finite")
+            if (self.a, self.b) != (p[0], p[-1]):
+                raise ValueError("table weight exponents must run from a to b")
+            check_interval(self.a, self.b)
+            object.__setattr__(self, "_log_v", np.log(v))
+        else:
             raise ValueError(f"unknown weight variant {self.variant!r}")
-        if self.variant != "degenerate" and not (1 <= self.a < self.b):
-            raise ValueError(f"need 1 <= a < b, got ({self.a}, {self.b})")
-        if self.variant == "table":
-            object.__setattr__(self, "_log_v", np.log(self.table_v))
 
     def psi(self, p):
         """The weight at p, a float or an array of exponents (a float in gives a
@@ -202,7 +198,7 @@ class PsiSpec:
             return self._psi_at(p)
         if self.variant == "zeta":
             with np.errstate(divide="ignore", over="ignore"):  # z is 0.0 or subnormal
-                return 1.0 / zeta_eval(self.zeta_params, p)
+                return 1.0 / zeta_eval(self, p)
         _check_inside(p, self.a, self.b)
         return np.exp(np.interp(p, self.table_p, self._log_v))
 
@@ -210,7 +206,7 @@ class PsiSpec:
         """The zeta or table weight at one exponent p, unchecked: p must lie in (a, b).
         A table weight interpolates log-linearly in p."""
         if self.variant == "zeta":
-            z = _zeta_at(self.zeta_params, p)
+            z = _zeta_at(self, p)
             return INF if z == 0.0 else 1.0 / z
         return float(np.exp(np.interp(p, self.table_p, self._log_v)))
 
@@ -255,8 +251,7 @@ def exponent_grid(
     Spacing is geometric in (p - a) (and in (b - p) for finite b) with at
     least `per_decade` points per decade of offset.
     """
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
+    check_interval(a, b)
     span = ((p_cap if p_cap is not None else max(100.0, 8.0 * a)) - a if b == INF
             else 0.5 * (b - a))
     if not span / min_offset < INF:
@@ -371,7 +366,7 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     log_obj = lambda p: logd / p - math.log(psi._psi_at(p))
 
     # b = inf: the cap lies past the argmax log(delta) / beta above the crossover
-    p_cap = (max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0), 2.0 * logd / psi.zeta_params.beta)
+    p_cap = (max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0), 2.0 * logd / psi.beta)
              if psi.b == INF else None)
     grid, log_psi = psi._fundamental_samples(p_cap)
     # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
@@ -382,24 +377,25 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
 
 
-def check_regime(regime: str, params: Optional[ZetaParams]):
-    """Raise ValueError unless params (None: not a zeta weight) admit the asymptotic regime."""
-    if regime not in ASYMPTOTIC_REGIMES or params is None or regime == "large" and params.b < INF:
+def check_regime(regime: str, psi: PsiSpec):
+    """Raise ValueError unless the weight psi admits the asymptotic regime."""
+    if (regime not in ASYMPTOTIC_REGIMES or psi.variant != "zeta"
+            or regime == "large" and psi.b < INF):
         raise ValueError(f"no {regime!r} asymptotic for this weight: the small-delta one needs "
                          "a zeta weight, the large-delta one a zeta weight with b = inf")
 
 
-def fundamental_asymptotic(params: ZetaParams, delta: float, regime: str) -> float:
+def fundamental_asymptotic(psi: PsiSpec, delta: float, regime: str) -> float:
     """Closed-form fundamental-function asymptotics for zeta-weight spaces, in a regime
-    that check_regime admits for params: "small" (0 < delta < e^-2) or "large" (delta > e^2)."""
-    check_regime(regime, params)
+    that check_regime admits for psi: "small" (0 < delta < e^-2) or "large" (delta > e^2)."""
+    check_regime(regime, psi)
     small = regime == "small"
     if not (0 < delta < math.exp(-2.0) if small else delta > math.exp(2.0)):
         raise ValueError(f"the {regime}-delta asymptotic needs "
                          f"{'0 < delta < e^-2' if small else 'delta > e^2'}, got {delta:g}")
-    a, b, alpha, beta = params.a, params.b, params.alpha, params.beta
+    a, b, alpha, beta = psi.a, psi.b, psi.alpha, psi.beta
     if small:
-        m = abs(beta)  # ZetaParams holds alpha, beta >= 0 for a finite b, beta < 0 for b = inf
+        m = abs(beta)  # a zeta weight has alpha, beta >= 0 for a finite b, beta < 0 for b = inf
         try:
             if b == INF:
                 try:

@@ -25,7 +25,6 @@ from strichartz_gls import (
     GaussianSpec,
     GridFunction,
     PsiSpec,
-    ZetaParams,
     box_indicator,
     fit_rate,
     fractional,
@@ -171,9 +170,8 @@ def test_criterion_08_dispersive_witness(capsys):
 
 def test_criterion_09_fundamental_asymptotics(capsys):
     psi = PsiSpec.zeta(1.0, 2.0, 1.0, 1.0)
-    zp = ZetaParams(1.0, 2.0, 1.0, 1.0)
     ratios = [
-        fundamental_gls(psi, d) / fundamental_asymptotic(zp, d, "small")
+        fundamental_gls(psi, d) / fundamental_asymptotic(psi, d, "small")
         for d in (1e-6, 1e-8, 1e-10)
     ]
     drifts = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
@@ -232,8 +230,8 @@ def test_criterion_11_property_suites(capsys):
 
     # crossover continuity
     cont = 0.0
-    for zp in (ZetaParams(1.0, 3.0, 1.0, 1.0), ZetaParams(1.0, INF, 1.0, -1.0),
-               ZetaParams(1.0, 5.0, 1.0, 2.0)):
+    for zp in (PsiSpec.zeta(1.0, 3.0, 1.0, 1.0), PsiSpec.zeta(1.0, INF, 1.0, -1.0),
+               PsiSpec.zeta(1.0, 5.0, 1.0, 2.0)):
         h0 = zp.crossover
         cont = max(cont, abs(zeta_eval(zp, h0 - 1e-12) - zeta_eval(zp, h0 + 1e-12)))
 
