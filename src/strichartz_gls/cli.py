@@ -57,6 +57,7 @@ from .propagators import (
     check_window,
     fractional,
     propagate,
+    propagate_gaussian_exact,
 )
 from .spaces import (ASYMPTOTIC_REGIMES, CoverageError, PsiSpec, check_regime, exponent_grid,
                      fundamental_asymptotic, fundamental_gls)
@@ -247,26 +248,31 @@ def parse_initial(cfg: Fields, grid) -> tuple[GridFunction, float]:
     return gaussian_sample(grid, GaussianSpec(s2, grid.dim)), s2.real
 
 
-def parse_kind(cfg: Fields) -> PropagatorKind:
-    """A flow name, or {"name": ..., "alpha": ...} for the fractional flow; default heat."""
+def parse_kind(cfg: Fields, sp: bool = False, exact: bool = False) -> PropagatorKind:
+    """A flow name, or {"name": ..., "alpha": ...} for the fractional flow; default heat.
+    An SP run's flow must have an SP functional, and a witness's an exact Gaussian
+    evolution: each owner is asked in d = 1 at t = 0, and a refusal names kind."""
     if cfg.holds("kind", dict):
         name = cfg.block("kind").choice("name", _FLOWS)
     else:
         name = cfg.choice("kind", _FLOWS, "heat")
-    if name != "fractional":
-        return _FLOWS[name]
     with _config_fault("kind"):
-        return fractional(cfg.block("kind").real("alpha"))
+        kind = _FLOWS[name] or fractional(cfg.block("kind").real("alpha"))
+        if sp:
+            kind.sp_exponent(1)
+        if exact:
+            propagate_gaussian_exact(GaussianSpec(1.0, 1), kind, 0.0)
+    return kind
 
 
-def _parse_flow(cfg: Fields, kind: PropagatorKind | None = None):
+def _parse_flow(cfg: Fields, functional: str = ""):
     """(initial data, X, Y, t_grid, flow) of a decay experiment, its times checked against
-    the flow's wrap-around-safe window; the flow is read from the config unless given."""
+    the flow's wrap-around-safe window; an SR sweep runs schrodinger, any other the config's."""
     grid = parse_grid(cfg)
     f, sigma2_real = parse_initial(cfg, grid)
     psiX, psiY = parse_psi(cfg, "X"), parse_psi(cfg, "Y")
     t_grid = parse_t_grid(cfg)
-    kind = kind or parse_kind(cfg)
+    kind = SCHRODINGER if functional == "SR" else parse_kind(cfg, sp=functional == "SP")
     with _config_fault():
         check_window(t_grid, grid, kind, sigma2_real)
     return f, psiX, psiY, t_grid, kind
@@ -334,7 +340,7 @@ def _run_propagate(cfg):
 
 def _run_functional_sweep(cfg):
     functional = cfg.choice("functional", ("SP", "SR"))
-    f, psiX, psiY, t_grid, kind = _parse_flow(cfg, None if functional == "SP" else SCHRODINGER)
+    f, psiX, psiY, t_grid, kind = _parse_flow(cfg, functional)
     if functional == "SP":
         sweep, params = w_sp_curve, {"K1": cfg.positive("K1", 1.0),
                                      "K2": cfg.positive("K2", 1.0), "kind": kind}
@@ -364,7 +370,8 @@ def _run_witness(cfg):
     grid = parse_grid(cfg)
     t_grid = parse_t_grid(cfg)
     sp = cfg.data["experiment"] == "witness-sp"
-    kind, nu = (parse_kind(cfg), parse_psi(cfg, "nu")) if sp else (SCHRODINGER, None)
+    kind = parse_kind(cfg, sp=True, exact=True) if sp else SCHRODINGER
+    nu = parse_psi(cfg, "nu") if sp else None
     with _config_fault():
         rep = sp_witness(nu, t_grid, grid, kind=kind) if sp else sr_witness(t_grid, grid)
     rows = list(zip(*map(_fmt, (rep.t_grid, rep.grid_values, rep.closed_values, rep.rel_gaps)),

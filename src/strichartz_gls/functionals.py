@@ -264,6 +264,8 @@ def check_fit_times(t_grid, with_log: bool = False):
         raise ValueError(f"t_grid: the rate fit{' with_log' if with_log else ''} needs at least "
                          f"{MIN_FIT_SAMPLES} times, each above {least:g}; got {t.size}, the "
                          f"least {t.min(initial=INF):g}")
+    if not t.max() < INF:
+        raise ValueError(f"t_grid: the rate fit needs finite times, got {t.max():g}")
 
 
 def fit_rate(t_grid, values, with_log: bool = False) -> RateFit:

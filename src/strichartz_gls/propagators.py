@@ -1,33 +1,28 @@
 """Fourier-multiplier propagators on the periodic grid.
 
-Multipliers on the dual grid (xi_k = pi*k/L):
-  heat            exp(-t ||xi||^2 / 2)
-  schrodinger     exp(-i t ||xi||^2 / 2)
-  fractional(a)   exp(-t ||xi||^a),  a in (0, 2]
-  laplacian       -||xi||^2 exp(-t ||xi||^a)  (laplacian_propagate)
+A flow is one record of its (order, rate) and one symbol on the dual grid
+(xi_k = pi*k/L), exp(-rate t ||xi||^order): heat is (2, 1/2), schrodinger
+(2, i/2) and fractional(a) (a, 1), a in (0, 2]; laplacian_propagate applies
+-||xi||^2 exp(-t ||xi||^a).  Every per-flow formula reads the record; only
+the Schrodinger group's rules read the name: it alone runs backward, has no
+SP functional and has the dispersive window.  The fractional rate is 1, so
+S_2(t) is the heat flow at doubled time; tests assert this identity.
 
-Note the fractional multiplier at a = 2 has no 1/2, so S_2(t) equals the
-heat flow at doubled time; this identity is asserted in tests rather than
-hidden by renormalizing.
-
-The heat, Schrodinger and order-2 fractional multipliers are products
-m_1(xi_1) ... m_1(xi_d) of one one-axis symbol (in d = 1 every multiplier
-is).  A GridFunction given by one-axis factors (the Gaussian and the box
-indicator are) propagates under such a flow factor by factor, once per
-distinct factor, into a factored field whose norms are taken from its
-factors (see grid_field): no N^d array is built unless a caller reads its
-values.  Every other case (fractional orders other than 2 in d >= 2,
-laplacian_propagate, sums of fields, convolutions) takes the N^d
-multiplier and GridFunction.spectrum, the cached fftn of f.  Either way
-each part of the result is one _apply_multiplier.  At t = 0 the result is
-a new field on f's own parts, of either kind, with nothing copied.
+An order-2 multiplier is the product m_1(xi_1) ... m_1(xi_d) of one one-axis
+symbol, and in d = 1 every multiplier is.  A field given by one-axis factors
+(the Gaussian, the box indicator) propagates under it factor by factor, once
+per distinct factor, into a factored field (see grid_field): no N^d array is
+built unless a caller reads its values.  Every other case takes the N^d
+multiplier and GridFunction.spectrum, the cached fftn of f.  Either way each
+part of the result is one _apply_multiplier.  At t = 0 the result is a new
+field on f's own parts, with nothing copied.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,33 +41,39 @@ __all__ = [
     "check_window",
 ]
 
+_RATES = {"heat": 0.5, "schrodinger": 0.5j, "fractional": 1.0}  # order: 2, or the fractional alpha
+
 
 @dataclass(frozen=True)
 class PropagatorKind:
+    """A flow by name, and its multiplier exp(-rate t ||xi||^order), set from the name."""
     kind: str
     alpha: Optional[float] = None
+    order: float = field(init=False)
+    rate: complex = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("heat", "schrodinger", "fractional"):
+        if self.kind not in _RATES:
             raise ValueError(f"unknown propagator kind {self.kind!r}")
-        if self.kind == "fractional":
-            if self.alpha is None or not 0 < self.alpha <= 2:
-                raise ValueError(f"fractional order must lie in (0, 2], got {self.alpha}")
-        elif self.alpha is not None:
+        if self.kind != "fractional" and self.alpha is not None:
             raise ValueError("alpha is only meaningful for the fractional kind")
+        if self.kind == "fractional" and (self.alpha is None or not 0 < self.alpha <= 2):
+            raise ValueError(f"fractional order must lie in (0, 2], got {self.alpha}")
+        object.__setattr__(self, "order", self.alpha or 2.0)
+        object.__setattr__(self, "rate", _RATES[self.kind])
 
     def check_time(self, t: float, name: str = "t"):
-        """Raise ValueError, naming the time ``name``, if t < 0 and the flow is not schrodinger."""
-        if t < 0 and self.kind != "schrodinger":
+        """Raise ValueError, naming the time ``name``, unless t >= 0 or the flow is schrodinger."""
+        if not t >= 0 and self.kind != "schrodinger":  # a NaN fails it
             raise ValueError(f"{name} holds the negative time {t:g}: only the "
                              f"schrodinger flow runs backward, not {self.kind}")
 
     def sp_exponent(self, d: int) -> float:
-        """The exponent e of the SP functional's scale t^e in d dimensions: d/2 for heat,
-        d/alpha for the fractional flow; the schrodinger group has no SP functional."""
+        """The exponent d/order of the SP functional's scale t^e in d dimensions; the
+        schrodinger group has no SP functional."""
         if self.kind == "schrodinger":
             raise ValueError("the schrodinger group has no SP functional: use the SR one")
-        return d / 2.0 if self.kind == "heat" else d / self.alpha
+        return d / self.order
 
 
 HEAT = PropagatorKind("heat")
@@ -83,29 +84,27 @@ def fractional(alpha: float) -> PropagatorKind:
     return PropagatorKind("fractional", alpha)
 
 
+def _symbol(kind: PropagatorKind, t: float, xi2: np.ndarray) -> np.ndarray:
+    """exp(-rate t ||xi||^order) at the squared frequencies xi2.  The rate multiplies last,
+    so the schrodinger symbol at xi = 0 is 1 + 0j, not 1 - 0j."""
+    return np.exp(-t * xi2 ** (kind.order / 2.0) * kind.rate)
+
+
 def _axis_symbol(grid: Grid, kind: PropagatorKind, t: float) -> Optional[np.ndarray]:
     """The one-axis symbol, in FFT order, of a flow whose multiplier is its product over
-    the axes (heat, Schrodinger, fractional of order 2 or in d = 1); None for another.
-    It depends on xi_k^2 = xi_(N-k)^2 alone, so its exponential is taken over the
-    N/2 + 1 nonnegative frequencies and mirrored."""
-    if kind.kind == "fractional" and kind.alpha != 2 and grid.dim > 1:
+    the axes (order 2, or d = 1); None for another.  It depends on xi_k^2 = xi_(N-k)^2
+    alone, so it is taken over the N/2 + 1 nonnegative frequencies and mirrored."""
+    if kind.order != 2 and grid.dim > 1:
         return None
     n = grid.points_per_axis
-    xi2 = grid._axis_frequencies()[:n // 2 + 1] ** 2
-    if kind.kind == "heat":
-        half = np.exp(-t * xi2 / 2.0)
-    elif kind.kind == "schrodinger":
-        half = np.exp(-1j * t * xi2 / 2.0)
-    else:
-        half = np.exp(-t * xi2 ** (kind.alpha / 2.0))
+    half = _symbol(kind, t, grid._axis_frequencies()[:n // 2 + 1] ** 2)
     return np.concatenate((half, half[n // 2 - 1:0:-1]))
 
 
 def _multiplier(grid: Grid, kind: PropagatorKind, t: float) -> np.ndarray:
     m = _axis_symbol(grid, kind, t)
     if m is None:
-        # ||xi||^alpha = (||xi||^2)^(alpha/2); the zero mode gives exp(0) = 1
-        return np.exp(-t * grid.frequency_squared() ** (kind.alpha / 2.0))
+        return _symbol(kind, t, grid.frequency_squared())
     return _tensor_product((m,) * grid.dim)
 
 
@@ -134,16 +133,12 @@ def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
 
 
 def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> complex:
-    """The variance after time t: heat s2 -> s2 + t; schrodinger s2 -> s2 + i t;
-    fractional order 2 s2 -> s2 + 2t (S_2(t) = T_2t)."""
-    s2 = complex(spec.sigma2)
-    if kind.kind == "schrodinger":
-        return s2 + 1j * t
-    if kind.kind == "fractional" and kind.alpha != 2:
+    """The variance s2 + 2 rate t after time t of an order-2 flow: heat s2 + t,
+    schrodinger s2 + i t, fractional order 2 s2 + 2t (S_2(t) = T_2t)."""
+    if kind.order != 2:
         raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
     kind.check_time(t)
-    rate = 1.0 if kind.kind == "heat" else 2.0
-    return s2 + rate * t
+    return complex(spec.sigma2) + 2 * kind.rate * t
 
 
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:
@@ -156,31 +151,26 @@ def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction
 
 
 def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) -> float:
-    """Largest t for which the evolved profile stays inside the 6-width box.
-
-    Heat: sqrt(s2 + t) <= L/6; schrodinger: envelope std sqrt(s2 + t^2/s2)
-    <= L/6; fractional: self-similar width t^(1/alpha) <= L/6.
-    """
+    """Largest t for which the evolved profile's width stays within w = L/6: for order 2
+    the variance s2 + 2 rate t <= w^2, but for schrodinger the envelope std
+    sqrt(s2 + t^2/s2) <= w; for other orders the self-similar width t^(1/order) <= w."""
     w = grid.half_extent / 6.0
-    if kind.kind == "heat":
-        return w * w - sigma2_real
     if kind.kind == "schrodinger":
         val = (w * w - sigma2_real) * sigma2_real
         return math.sqrt(val) if val > 0 else 0.0
-    if kind.alpha == 2:
-        # variance grows as s2 + 2t under this multiplier
-        return (w * w - sigma2_real) / 2.0
-    return w ** kind.alpha
+    if kind.order == 2:
+        return (w * w - sigma2_real) / (2 * kind.rate)
+    return w ** kind.order
 
 
 def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0,
                  name: str = "t_grid"):
-    """Raise ValueError, naming the times ``name``, when a time is negative for a flow
-    other than schrodinger, or when the largest |t| lies beyond safe_time_bound."""
+    """Raise ValueError, naming the times ``name``, when a time is negative for a flow other
+    than schrodinger or the largest |t| lies beyond safe_time_bound; a NaN fails both."""
     tmin, tmax = float(np.min(t_grid)), float(np.max(t_grid))
     kind.check_time(tmin, name)
     bound = safe_time_bound(grid, kind, sigma2_real)
-    if max(tmax, -tmin) > bound:
-        worst = f"max t = {tmax:g}" if tmax >= -tmin else f"|min t| = {-tmin:g}"
+    if not max(tmax, -tmin) <= bound:
+        worst = f"|min t| = {-tmin:g}" if -tmin > tmax else f"max t = {tmax:g}"
         raise ValueError(f"{name} exceeds the wrap-around-safe window: {worst} > "
                          f"safe bound {bound:.6g} for this grid ({kind.kind})")

@@ -26,13 +26,14 @@ from strichartz_gls import (
     make_grid,
     mixed_norm,
     moment_profile,
+    propagate_gaussian_exact,
     sp_witness,
     v_sr_curve,
     w_sp_curve,
     zeta_crossover,
     zeta_eval,
 )
-from strichartz_gls import spaces
+from strichartz_gls import cli, functionals, spaces, witness
 from strichartz_gls.cli import run
 from strichartz_gls.grid_field import GaussianSpec
 
@@ -206,14 +207,35 @@ def test_sp_exponent_values(kind, d, want):
 
 
 SP_REFUSAL = "the schrodinger group has no SP functional: use the SR one"
+EXACT_REFUSAL = "exact Gaussian evolution covers heat, schrodinger and order 2 only"
+# an SP experiment whose flow has no SP functional or, for the witness, no exact Gaussian
+# evolution: (config, fields, the owner's message); each t_grid lies inside the window.
+# Each used to name no field, and the functional sweep exited 2.
+SP_FLOW_CLI = {
+    "cli-witness-sp": ("witness_sp", {"kind": "schrodinger", "t_grid": [3, 4, 6, 8, 12]},
+                       SP_REFUSAL),
+    "cli-functional-sweep": ("functional_sweep_sp",
+                             {"kind": "schrodinger", "t_grid": [3, 4, 6, 8, 12]}, SP_REFUSAL),
+    "cli-witness-sp-fractional": ("witness_sp", {"kind": {"name": "fractional", "alpha": 1.5},
+                                                 "t_grid": [4, 16, 64, 128]}, EXACT_REFUSAL),
+}
 
 
-@pytest.mark.parametrize("caller", ["sp_exponent", "w_sp_curve", "sp_witness", "cli-witness-sp"])
-def test_sp_exponent_refuses_the_schrodinger_group_with_one_message(caller, tmp_path, capsys):
-    if caller == "cli-witness-sp":
-        rc, err = _run_config("witness_sp", tmp_path, capsys, kind="schrodinger",
-                              t_grid=[3, 4, 5, 6])
-        assert rc == 1 and err == f"config error: {SP_REFUSAL}\n"
+def _sp_flow_fault(case, tmp_path, capsys, monkeypatch):
+    """cli.run on SP_FLOW_CLI[case]: a config fault naming kind, before any propagation."""
+    for module in (cli, functionals, witness):
+        monkeypatch.setattr(module, "propagate", lambda *a: pytest.fail("propagated"))
+    config, fields, message = SP_FLOW_CLI[case]
+    rc, err = _run_config(config, tmp_path, capsys, **fields)
+    assert rc == 1 and err == f"config error: invalid kind: {message}\n", err
+
+
+@pytest.mark.parametrize("caller", ["sp_exponent", "w_sp_curve", "sp_witness", "cli-witness-sp",
+                                    "cli-functional-sweep"])
+def test_sp_exponent_refuses_the_schrodinger_group_with_one_message(caller, tmp_path, capsys,
+                                                                    monkeypatch):
+    if caller in SP_FLOW_CLI:
+        _sp_flow_fault(caller, tmp_path, capsys, monkeypatch)
         return
     grid, f, X, Y = _sweep_setup()
     calls = {"sp_exponent": lambda: SCHRODINGER.sp_exponent(1),
@@ -221,6 +243,22 @@ def test_sp_exponent_refuses_the_schrodinger_group_with_one_message(caller, tmp_
              "sp_witness": lambda: sp_witness(PsiSpec.degenerate(2.0), [3.0, 4.0, 5.0, 6.0],
                                               grid, kind=SCHRODINGER)}
     with pytest.raises(ValueError, match=re.escape(SP_REFUSAL)):
+        calls[caller]()
+
+
+@pytest.mark.parametrize("caller", ["propagate_gaussian_exact", "sp_witness",
+                                    "cli-witness-sp-fractional"])
+def test_the_exact_evolution_refuses_an_order_other_than_2_with_one_message(
+        caller, tmp_path, capsys, monkeypatch):
+    if caller in SP_FLOW_CLI:
+        _sp_flow_fault(caller, tmp_path, capsys, monkeypatch)
+        return
+    grid = make_grid(1, 64.0, 1024)
+    calls = {"propagate_gaussian_exact": lambda: propagate_gaussian_exact(
+                 GaussianSpec(1.0, 1), fractional(1.5), 3.0),
+             "sp_witness": lambda: sp_witness(PsiSpec.degenerate(2.0), [3.0, 4.0, 5.0, 6.0],
+                                              grid, kind=fractional(1.5))}
+    with pytest.raises(ValueError, match=re.escape(EXACT_REFUSAL)):
         calls[caller]()
 
 
@@ -246,6 +284,14 @@ def test_fit_rate_refuses_a_nan_or_nonpositive_value(bad):
     # a NaN value used to give a RateFit with a NaN slope
     with pytest.raises(ValueError, match="rate fit requires positive finite values"):
         fit_rate([3.0, 4.0, 5.0, 6.0], [1.0, bad, 0.5, 0.4])
+
+
+@pytest.mark.parametrize("with_log", [False, True], ids=["plain", "with_log"])
+def test_fit_rate_refuses_an_infinite_time(with_log, capfd):
+    # it used to reach LAPACK, which printed a DLASCL complaint and raised LinAlgError
+    with pytest.raises(ValueError, match="^t_grid: the rate fit needs finite times, got inf$"):
+        fit_rate([3.0, 4.0, 5.0, INF], [1.0, 0.9, 0.8, 0.7], with_log=with_log)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("theta", [PsiSpec.degenerate(2.0), PsiSpec.zeta(1.0, 2.0, 1.0, 1.0)],

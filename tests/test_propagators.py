@@ -9,6 +9,7 @@ from strichartz_gls import (
     SCHRODINGER,
     GaussianSpec,
     GridFunction,
+    PropagatorKind,
     PsiSpec,
     box_indicator,
     check_window,
@@ -26,6 +27,7 @@ from strichartz_gls import (
     sr_witness,
     w_sp_curve,
 )
+from strichartz_gls import propagators
 from strichartz_gls.propagators import _axis_symbol, _multiplier
 from strichartz_gls.spaces import exponent_grid
 
@@ -158,6 +160,34 @@ def test_fractional_rejects_bad_alpha():
         fractional(-1.0)
 
 
+@pytest.mark.parametrize("kind, same, order, rate", [
+    (HEAT, PropagatorKind("heat"), 2.0, 0.5),
+    (SCHRODINGER, PropagatorKind("schrodinger"), 2.0, 0.5j),
+    (fractional(1.5), PropagatorKind("fractional", 1.5), 1.5, 1.0),
+    (fractional(2.0), PropagatorKind("fractional", 2.0), 2.0, 1.0)],
+    ids=["heat", "schrodinger", "fractional1.5", "fractional2.0"])
+def test_each_flow_is_one_record_of_its_order_and_rate(kind, same, order, rate):
+    assert kind == same and (kind.order, kind.rate) == (order, rate)
+    with pytest.raises(TypeError):  # set from the name, never given
+        PropagatorKind(kind.kind, kind.alpha, order, rate)
+    with pytest.raises(AttributeError):
+        kind.rate = 1.0
+
+
+@pytest.mark.parametrize("args, match", [
+    (("bogus",), "unknown propagator kind 'bogus'"),
+    (("heat", 1.5), "alpha is only meaningful for the fractional kind"),
+    (("schrodinger", 2.0), "alpha is only meaningful for the fractional kind"),
+    (("fractional", 2.5), r"fractional order must lie in \(0, 2\], got 2.5"),
+    (("fractional", math.nan), r"fractional order must lie in \(0, 2\], got nan"),
+    (("fractional",), r"fractional order must lie in \(0, 2\], got None")],
+    ids=["unknown", "heat-alpha", "schrodinger-alpha", "fractional-2.5", "fractional-nan",
+         "fractional-bare"])
+def test_the_record_refuses_an_inconsistent_flow(args, match):
+    with pytest.raises(ValueError, match=match):
+        PropagatorKind(*args)
+
+
 def test_exact_gaussian_evolution_specs():
     assert propagate_gaussian_exact(GaussianSpec(1.0, 1), HEAT, 3.0) == 4.0
     assert propagate_gaussian_exact(GaussianSpec(1.0, 1), SCHRODINGER, 3.0) == 1.0 + 3.0j
@@ -245,6 +275,27 @@ def test_check_window():
     for kind in (HEAT, fractional(1.5)):
         with pytest.raises(ValueError, match="^t_grid holds the negative time -1"):
             check_window([-1.0, 2.0], g, kind)
+
+
+@pytest.mark.parametrize("kind, t_grid, match", [
+    (HEAT, [3.0, math.nan], "^t_grid holds the negative time nan: only the schrodinger flow"),
+    (fractional(1.5), [math.nan], "^t_grid holds the negative time nan"),
+    (SCHRODINGER, [math.nan], r"^t_grid exceeds the wrap-around-safe window: max t = nan > "),
+    (SCHRODINGER, [-1.0, math.nan], r"^t_grid exceeds the wrap-around-safe window: max t = nan")],
+    ids=["heat", "fractional", "schrodinger", "schrodinger-negative"])
+def test_a_nan_time_fails_the_window(kind, t_grid, match):
+    # NaN used to pass both comparisons, t < 0 and max(t_max, -t_min) > bound
+    with pytest.raises(ValueError, match=match):
+        check_window(t_grid, make_grid(1, 16.0, 256), kind)
+
+
+def test_a_nan_time_is_refused_before_the_flow_builds_anything(monkeypatch):
+    # propagate(f, HEAT, nan) used to build the evolved field, then fail on its finiteness
+    monkeypatch.setattr(propagators, "_apply_multiplier", lambda *a: pytest.fail("applied"))
+    f = gaussian_sample(make_grid(2, 12.0, 32), GaussianSpec(1.0, 2))
+    for field in (f, GridFunction(f.grid, f.values)):
+        with pytest.raises(ValueError, match="^t holds the negative time nan"):
+            propagate(field, HEAT, math.nan)
 
 
 SYMBOLS = {
