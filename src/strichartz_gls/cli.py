@@ -51,19 +51,16 @@ from .grid_field import (
     moment_profile,
 )
 from .propagators import (
-    HEAT,
     SCHRODINGER,
+    _RATES,
     PropagatorKind,
     check_window,
-    fractional,
     propagate,
     propagate_gaussian_exact,
 )
 from .spaces import (ASYMPTOTIC_REGIMES, CoverageError, PsiSpec, check_regime, exponent_grid,
                      fundamental_asymptotic, fundamental_gls)
 from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
-
-_FLOWS = {"heat": HEAT, "schrodinger": SCHRODINGER, "fractional": None}
 
 # Size caps, far above every shipped config, that bound the memory a config can ask for.
 MAX_GRID_NODES = 2 ** 24     # N^d: 16 Mi nodes, 256 MiB per complex array
@@ -249,15 +246,17 @@ def parse_initial(cfg: Fields, grid) -> tuple[GridFunction, float]:
 
 
 def parse_kind(cfg: Fields, sp: bool = False, exact: bool = False) -> PropagatorKind:
-    """A flow name, or {"name": ..., "alpha": ...} for the fractional flow; default heat.
-    An SP run's flow must have an SP functional, and a witness's an exact Gaussian
-    evolution: each owner is asked in d = 1 at t = 0, and a refusal names kind."""
+    """The flow record of a name, or of {"name": ..., "alpha": ...} (alpha for the fractional
+    flow only); default heat.  An SP run's flow must have an SP functional, and a witness's
+    an exact Gaussian evolution: each owner is asked in d = 1 at t = 0; a refusal names kind."""
     if cfg.holds("kind", dict):
-        name = cfg.block("kind").choice("name", _FLOWS)
+        block = cfg.block("kind")
+        name = block.choice("name", _RATES)
+        alpha = block.real("alpha", _MISSING if name == "fractional" else None)
     else:
-        name = cfg.choice("kind", _FLOWS, "heat")
+        name, alpha = cfg.choice("kind", _RATES, "heat"), None
     with _config_fault("kind"):
-        kind = _FLOWS[name] or fractional(cfg.block("kind").real("alpha"))
+        kind = PropagatorKind(name, alpha)
         if sp:
             kind.sp_exponent(1)
         if exact:
@@ -427,10 +426,13 @@ def _run_rate_report(cfg):
         check_fit_times(t_grid, with_log)
     block = cfg.block("predicted")
     source = block.choice("source", PREDICTED_SOURCES)
-    params = {k: block.real(k) for k in block.data if k != "source"}
+    if block.integer("d") != f.grid.dim:
+        raise ConfigError(f"field {block.name('d')} must be the run's d = {f.grid.dim}, "
+                          f"got {block.data['d']!r}")
+    params = {k: block.real(k) for k in block.data if k not in ("source", "d")}
     try:
         with _config_fault(block.path):
-            pred = predicted_rate(source, **params)
+            pred = predicted_rate(source, d=f.grid.dim, **params)
     except KeyError as e:
         raise ConfigError(f"missing config field: {block.name(e.args[0])}")
     norm_x = x_norm(f, psiX)

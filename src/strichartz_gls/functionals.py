@@ -24,16 +24,6 @@ from .propagators import HEAT, SCHRODINGER, fractional, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
 from .spaces import PsiSpec, _gls_sup, fundamental_gls
 
-__all__ = [
-    "FunctionalCurve",
-    "RateFit",
-    "PredictedRate",
-    "w_sp_curve",
-    "v_sr_curve",
-    "mixed_norm",
-    "predicted_rate",
-    "fit_rate",
-]
 
 MIN_CURVE_SAMPLES = 8  # mixed_norm's least number of time samples
 MIN_FIT_SAMPLES = 4    # fit_rate's least number of samples

@@ -293,13 +293,11 @@ def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
 
     |g(x)| is itself a scaled real Gaussian with envelope variance
     v = |s2|^2/Re(s2) and amplitude factor (v/|s2|)^(d/2), so the real
-    closed form applies to it.
+    closed form applies to it, at q = inf too: 1/inf = 0 and inf^-0 = 1.
     """
     s2 = complex(sigma2)
     v = GaussianSpec(sigma2, d).envelope_variance
     amp = (v / abs(s2)) ** (d / 2.0)
-    if q == INF:
-        return amp * (2.0 * math.pi * v) ** (-d / 2.0)
     if not q >= 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     return amp * (2.0 * math.pi * v) ** (-d * (1.0 - 1.0 / q) / 2.0) * q ** (-d / (2.0 * q))

@@ -29,17 +29,6 @@ import numpy as np
 
 from .grid_field import GaussianSpec, Grid, GridFunction, _map_shared, _tensor_product
 
-__all__ = [
-    "PropagatorKind",
-    "HEAT",
-    "SCHRODINGER",
-    "fractional",
-    "propagate",
-    "propagate_gaussian_exact",
-    "laplacian_propagate",
-    "safe_time_bound",
-    "check_window",
-]
 
 _RATES = {"heat": 0.5, "schrodinger": 0.5j, "fractional": 1.0}  # order: 2, or the fractional alpha
 
@@ -63,8 +52,11 @@ class PropagatorKind:
         object.__setattr__(self, "rate", _RATES[self.kind])
 
     def check_time(self, t: float, name: str = "t"):
-        """Raise ValueError, naming the time ``name``, unless t >= 0 or the flow is schrodinger."""
-        if not t >= 0 and self.kind != "schrodinger":  # a NaN fails it
+        """Raise ValueError, naming the time ``name``, unless t is finite and, for a flow
+        other than schrodinger, t >= 0."""
+        if not math.isfinite(t):
+            raise ValueError(f"{name} holds the non-finite time {t:g}")
+        if t < 0 and self.kind != "schrodinger":
             raise ValueError(f"{name} holds the negative time {t:g}: only the "
                              f"schrodinger flow runs backward, not {self.kind}")
 
@@ -144,6 +136,7 @@ def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float)
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:
     """Multiplier -||xi||^2 exp(-t ||xi||^alpha); t must be strictly positive."""
     kind = fractional(alpha)
+    kind.check_time(t)
     if not t > 0:
         raise ValueError("laplacian_propagate requires t > 0")
     mult = -f.grid.frequency_squared() * _multiplier(f.grid, kind, t)
@@ -165,8 +158,8 @@ def safe_time_bound(grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0) 
 
 def check_window(t_grid, grid: Grid, kind: PropagatorKind, sigma2_real: float = 1.0,
                  name: str = "t_grid"):
-    """Raise ValueError, naming the times ``name``, when a time is negative for a flow other
-    than schrodinger or the largest |t| lies beyond safe_time_bound; a NaN fails both."""
+    """Raise ValueError, naming the times ``name``, when the least time fails check_time (a
+    NaN anywhere makes it NaN) or the largest |t| lies beyond safe_time_bound."""
     tmin, tmax = float(np.min(t_grid)), float(np.max(t_grid))
     kind.check_time(tmin, name)
     bound = safe_time_bound(grid, kind, sigma2_real)

@@ -21,15 +21,6 @@ import numpy as np
 
 from .grid_field import INF, check_increasing
 
-__all__ = [
-    "PsiSpec",
-    "check_interval",
-    "zeta_crossover",
-    "zeta_eval",
-    "exponent_grid",
-    "fundamental_gls",
-    "fundamental_asymptotic",
-]
 
 CROSSOVER_TOL = 1e-12
 PROFILE_MIN_OFFSET = 1e-3  # least offset from a and b of the exponents a norm samples
@@ -374,7 +365,11 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
+    try:
+        return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
+    except OverflowError:
+        raise OverflowError(f"evaluating the fundamental function overflows a float at "
+                            f"delta = {delta:g}") from None
 
 
 def check_regime(regime: str, psi: PsiSpec):
@@ -394,18 +389,23 @@ def fundamental_asymptotic(psi: PsiSpec, delta: float, regime: str) -> float:
         raise ValueError(f"the {regime}-delta asymptotic needs "
                          f"{'0 < delta < e^-2' if small else 'delta > e^2'}, got {delta:g}")
     a, b, alpha, beta = psi.a, psi.b, psi.alpha, psi.beta
-    if small:
-        m = abs(beta)  # a zeta weight has alpha, beta >= 0 for a finite b, beta < 0 for b = inf
-        try:
-            if b == INF:
-                try:
-                    return m ** m * abs(math.log(delta)) ** (-m)
-                except OverflowError:  # m^m alone overflows for m above about 143
-                    return math.exp(m * math.log(m) - m * math.log(abs(math.log(delta))))
+    try:
+        if small and b == INF:
+            m = abs(beta)  # a zeta weight has beta < 0 for b = inf, alpha, beta >= 0 otherwise
+            try:
+                value = m ** m * abs(math.log(delta)) ** (-m)
+            except OverflowError:  # m^m alone overflows for m above about 143
+                value = math.exp(m * math.log(m) - m * math.log(abs(math.log(delta))))
+        elif small:
             pre = 1.0 if beta == 0 else (beta * b * b / math.e) ** beta
-            return pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
-        except OverflowError:
-            raise OverflowError(f"evaluating the small-delta asymptotic overflows a float at "
-                                f"delta = {delta:g}") from None
-    pre = 1.0 if alpha == 0 else (a * a * alpha / math.e) ** alpha
-    return pre * delta ** (1.0 / a) * math.log(delta) ** (-a)
+            value = pre * delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
+        else:
+            pre = 1.0 if alpha == 0 else (a * a * alpha / math.e) ** alpha
+            value = pre * delta ** (1.0 / a) * math.log(delta) ** (-a)
+    except OverflowError:
+        value = INF
+    if not 0 < value < INF:  # the asymptotic is positive: 0 is an underflow
+        raise (OverflowError if value else FloatingPointError)(
+            f"evaluating the {regime}-delta asymptotic {'over' if value else 'under'}flows a "
+            f"float at delta = {delta:g}")
+    return value

@@ -10,7 +10,6 @@ relative gap is reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .propagators import (
 )
 from .spaces import PsiSpec, _gls_sup, fundamental_gls
 
-__all__ = ["WitnessReport", "sp_witness", "sr_witness", "gaussian_moment_law_check"]
 
 GAP_TOL = 1e-6
 
@@ -109,14 +107,15 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
 def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     """Dispersive witness: the SR functional at f = g_1 with X = L_1, Y = L_inf.
 
-    The grid channel is v_sr_curve.  Closed form: t^(d/2) (2 pi)^(-d/2)
-    (1 + t^2)^(-d/4), which tends to the positive constant (2 pi)^(-d/2).
+    The grid channel is v_sr_curve; the closed one, t^(d/2) |U_t g_1|_inf taken exactly,
+    is t^(d/2) (2 pi)^(-d/2) (1 + t^2)^(-d/4), which tends to (2 pi)^(-d/2) > 0.
     """
     t_grid = _witness_times(t_grid, grid, SCHRODINGER)
     d = grid.dim
-    curve = v_sr_curve(gaussian_sample(grid, GaussianSpec(1.0, d)), _L1, _LINF, t_grid)
-    closed_vals = np.array([t ** (d / 2.0) * (2.0 * math.pi) ** (-d / 2.0)
-                            * (1.0 + t ** 2) ** (-d / 4.0) for t in t_grid.tolist()])
+    spec = GaussianSpec(1.0, d)
+    curve = v_sr_curve(gaussian_sample(grid, spec), _L1, _LINF, t_grid)
+    closed_vals = np.array([t ** (d / 2.0) * gaussian_lp_exact(
+        propagate_gaussian_exact(spec, SCHRODINGER, t), d, INF) for t in t_grid.tolist()])
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 

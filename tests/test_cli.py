@@ -320,6 +320,31 @@ def test_overflowing_small_delta_asymptotic_says_so(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+TINY_TABLE = {"variant": "table", "points": {"1.5": 1e-308, "4.0": 1.0}}
+
+
+@pytest.mark.parametrize("config, fields, message", [
+    ("fundamental_zeta", {"psi": {"variant": "zeta", "a": 200.0, "b": "inf", "alpha": 1.0,
+                                  "beta": -1.0}, "regime": "large", "deltas": [1e300]},
+     "evaluating the large-delta asymptotic underflows a float at delta = 1e+300"),
+    ("fundamental_zeta", {"psi": TINY_TABLE, "deltas": [1e3], "regime": None},
+     "evaluating the fundamental function overflows a float at delta = 1000"),
+    ("witness_sp", {"nu": TINY_TABLE},
+     "evaluating the fundamental function overflows a float at delta = 4")],
+    ids=["large-delta-asymptotic", "fundamental", "witness-sp"])
+def test_a_fundamental_function_outside_the_float_range_says_so(config, fields, message,
+                                                                 tmp_path, capsys):
+    # each used to exit 2 with "float division by zero" or "math range error"; a field
+    # given as None is dropped
+    cfg = {**json.loads((CONFIG_DIR / f"{config}.json").read_text()), **fields}
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"numerical-domain error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_huge_finite_extent_samples_the_gaussian(tmp_path):
     # x^2 overflows at |x| ~ 1e200, where exp(-x^2 / 2) is exactly 0: one node, x = 0, is not
     cfg = json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())
@@ -537,6 +562,15 @@ CONFIG_FAULTS = [
     ("fundamental_zeta", ("psi",), {"variant": "degenerate", "s": 2.0}, "regime"),
     ("fundamental_zeta", ("psi",), {"variant": "table", "points": {"1.5": 1.0, "3": 2.0}},
      "regime"),
+    # an alpha on heat or schrodinger never reached the flow record: heat exited 0
+    ("propagate_heat", ("kind",), {"name": "heat", "alpha": 1.5}, "kind"),
+    ("propagate_heat", ("kind",), {"name": "schrodinger", "alpha": 1.5}, "kind"),
+    # predicted.d was any real: "inf" wrote -Infinity and NaN, another d exited 0 with a
+    # FAIL against the rate of that dimension
+    ("rate_report", ("predicted", "d"), "inf", "predicted.d"),
+    ("rate_report", ("predicted", "d"), 1.5, "predicted.d"),
+    ("rate_report", ("predicted", "d"), 0, "predicted.d"),
+    ("rate_report", ("predicted", "d"), 2, "predicted.d"),
 ]
 
 

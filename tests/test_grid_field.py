@@ -131,6 +131,16 @@ def test_gaussian_lp_exact_scaling_law():
             assert ratio == pytest.approx(math.sqrt(s) ** (-(1.0 - inv_q)), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_lp_exact_at_inf_is_the_sup_formula_bit_for_bit(d):
+    # one formula for every q: at q = inf, 1 - 1/q = 1 and q^(-d/(2q)) = inf^-0 = 1
+    for s in np.geomspace(1e-3, 1e6, 300):
+        for s2 in (s, 1.0 + 1j * s, s + 3j * s):
+            v = GaussianSpec(s2, d).envelope_variance
+            sup = (v / abs(complex(s2))) ** (d / 2.0) * (2.0 * math.pi * v) ** (-d / 2.0)
+            assert gaussian_lp_exact(s2, d, INF) == sup
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, INF])
 def test_gaussian_lp_exact_complex_vs_quadrature(q):
     g = make_grid(1, 40.0, 2048)

@@ -278,13 +278,17 @@ def test_check_window():
 
 
 @pytest.mark.parametrize("kind, t_grid, match", [
-    (HEAT, [3.0, math.nan], "^t_grid holds the negative time nan: only the schrodinger flow"),
-    (fractional(1.5), [math.nan], "^t_grid holds the negative time nan"),
-    (SCHRODINGER, [math.nan], r"^t_grid exceeds the wrap-around-safe window: max t = nan > "),
-    (SCHRODINGER, [-1.0, math.nan], r"^t_grid exceeds the wrap-around-safe window: max t = nan")],
-    ids=["heat", "fractional", "schrodinger", "schrodinger-negative"])
+    (HEAT, [3.0, math.nan], "^t_grid holds the non-finite time nan$"),
+    (fractional(1.5), [math.nan], "^t_grid holds the non-finite time nan$"),
+    (SCHRODINGER, [math.nan], "^t_grid holds the non-finite time nan$"),
+    (SCHRODINGER, [-1.0, math.nan], "^t_grid holds the non-finite time nan$"),
+    (HEAT, [-INF, 2.0], "^t_grid holds the non-finite time -inf$"),
+    (SCHRODINGER, [-INF, 2.0], "^t_grid holds the non-finite time -inf$")],
+    ids=["heat", "fractional", "schrodinger", "schrodinger-negative", "heat-minus-inf",
+         "schrodinger-minus-inf"])
 def test_a_nan_time_fails_the_window(kind, t_grid, match):
-    # NaN used to pass both comparisons, t < 0 and max(t_max, -t_min) > bound
+    # NaN used to pass both comparisons, t < 0 and max(t_max, -t_min) > bound; then it was
+    # called negative for heat, and -inf was negative or past the window
     with pytest.raises(ValueError, match=match):
         check_window(t_grid, make_grid(1, 16.0, 256), kind)
 
@@ -294,8 +298,25 @@ def test_a_nan_time_is_refused_before_the_flow_builds_anything(monkeypatch):
     monkeypatch.setattr(propagators, "_apply_multiplier", lambda *a: pytest.fail("applied"))
     f = gaussian_sample(make_grid(2, 12.0, 32), GaussianSpec(1.0, 2))
     for field in (f, GridFunction(f.grid, f.values)):
-        with pytest.raises(ValueError, match="^t holds the negative time nan"):
+        with pytest.raises(ValueError, match="^t holds the non-finite time nan$"):
             propagate(field, HEAT, math.nan)
+
+
+@pytest.mark.parametrize("t", [INF, -INF, math.nan], ids=["inf", "minus-inf", "nan"])
+@pytest.mark.parametrize("kind", [HEAT, SCHRODINGER, fractional(1.5), fractional(2.0)],
+                         ids=["heat", "schrodinger", "fractional1.5", "fractional2.0"])
+def test_every_flow_refuses_a_non_finite_time(kind, t):
+    # these used to raise a RuntimeWarning in the symbol, return a NaN variance, call a
+    # NaN negative or, for laplacian_propagate, refuse it as t <= 0
+    f = gaussian_sample(make_grid(1, 40.0, 64), GaussianSpec(1.0, 1))
+    calls = [lambda: propagate(f, kind, t)]
+    if kind.order == 2:
+        calls.append(lambda: propagate_gaussian_exact(GaussianSpec(1.0, 1), kind, t))
+    if kind.alpha is not None:
+        calls.append(lambda: laplacian_propagate(f, kind.alpha, t))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^t holds the non-finite time {t:g}$"):
+            call()
 
 
 SYMBOLS = {

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -357,6 +358,20 @@ def test_asymptotic_small_delta_steep_infinite_b_in_logs():
     # here the value itself, about 10^31700, is beyond the float range
     with pytest.raises(OverflowError, match="small-delta asymptotic overflows"):
         fundamental_asymptotic(PsiSpec.zeta(1.0, INF, 1.0, -1e4), 1e-3, regime="small")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fundamental_asymptotic(PsiSpec.zeta(200.0, INF, 1.0, -1.0), 1e300, "large"),
+     FloatingPointError, "evaluating the large-delta asymptotic underflows a float at "
+                         "delta = 1e+300"),
+    (lambda: fundamental_gls(PsiSpec.table({1.5: 1e-308, 4.0: 1.0}), 1e3),
+     OverflowError, "evaluating the fundamental function overflows a float at delta = 1000")],
+    ids=["large-delta-asymptotic", "fundamental-function"])
+def test_a_fundamental_function_outside_the_float_range_says_so(call, error, message):
+    # log(1e300)^-200 is 0.0, and exp(log(1e3) / 1.5 + 709.2) overflows: each used to end
+    # in a message naming no quantity (float division by zero, math range error)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_asymptotic_large_delta():

@@ -124,6 +124,18 @@ def test_sp_witness_guards():
         sp_witness(PsiSpec.zeta(1.0, 2.0, 1.0, 1.0), SP_TIMES, SP_GRID)
 
 
+@pytest.mark.parametrize("grid, times", [(SR_GRID, SR_TIMES),
+                                         (make_grid(2, 48.0, 256), [3.0, 4.0, 5.0, 7.0]),
+                                         (make_grid(3, 24.0, 32), [2.5, 2.8, 3.1, 3.5])],
+                         ids=["d1", "d2", "d3"])
+def test_sr_witness_closed_channel_is_the_exact_sup_law(grid, times):
+    d = grid.dim
+    want = np.array([t ** (d / 2) * (2 * math.pi) ** (-d / 2) * (1 + t * t) ** (-d / 4)
+                     for t in np.asarray(times, dtype=float)])
+    closed = sr_witness(times, grid).closed_values
+    assert np.max(np.abs(closed - want) / want) <= 1e-15
+
+
 def test_sr_witness_two_channels_agree():
     rep = sr_witness(SR_TIMES, SR_GRID)
     assert rep.max_gap < GAP_TOL
