@@ -23,7 +23,6 @@ from .spaces import (
     fundamental_asymptotic,
     fundamental_gls,
     zeta_crossover,
-    zeta_eval,
 )
 from .propagators import (
     HEAT,

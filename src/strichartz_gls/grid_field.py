@@ -254,7 +254,11 @@ class GaussianSpec:
     def envelope_variance(self) -> float:
         """Variance of the (real Gaussian) modulus envelope: |s2|^2 / Re(s2)."""
         s2 = complex(self.sigma2)
-        return abs(s2) ** 2 / s2.real
+        try:
+            return abs(s2) ** 2 / s2.real
+        except OverflowError:
+            raise OverflowError(f"sigma2 = {self.sigma2} is too large: the envelope variance "
+                                f"|sigma2|^2 / Re(sigma2) overflows") from None
 
 
 def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:

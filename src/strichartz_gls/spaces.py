@@ -13,6 +13,7 @@ samples, once per weight, and checks there that they cover (a, b).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -89,35 +90,6 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_inside(p, a: float, b: float):
-    """Raise unless p, a float or every point of an array, lies in (a, b)."""
-    lo, hi = (p.min(), p.max()) if isinstance(p, np.ndarray) else (p, p)
-    if not a < lo <= hi < b:
-        raise ValueError(f"p = {hi if a < lo else lo} outside ({a}, {b})")
-
-
-def _zeta_at(psi: PsiSpec, p: float) -> float:
-    """zeta at one exponent p, unchecked: p must lie in (a, b)."""
-    if p < psi.crossover:
-        return (p - psi.a) ** psi.alpha
-    return (p if psi.b == INF else psi.b - p) ** psi.beta
-
-
-def zeta_eval(psi: PsiSpec, p):
-    """zeta of a zeta weight at p, a float or an array of exponents (a float in gives a float out).
-
-    Each point takes one power, of the base and exponent of its own side of
-    the crossover, so no side is evaluated where it could overflow."""
-    if psi.variant != "zeta":
-        raise ValueError(f"zeta_eval needs a zeta weight, got a {psi.variant} one")
-    _check_inside(p, psi.a, psi.b)
-    if not isinstance(p, np.ndarray):
-        return _zeta_at(psi, p)
-    far = p if psi.b == INF else psi.b - p
-    below = p < psi.crossover
-    return np.where(below, p - psi.a, far) ** np.where(below, psi.alpha, psi.beta)
-
-
 @dataclass(frozen=True)
 class PsiSpec:
     """A weight on (a, b) defining a Grand Lebesgue norm.
@@ -180,26 +152,32 @@ class PsiSpec:
 
     def psi(self, p):
         """The weight at p, a float or an array of exponents (a float in gives a
-        float out); +inf is a legal value only for degenerate."""
+        float out); +inf is a legal value only for degenerate.  Each point of a zeta
+        weight takes one power, of the base and exponent of its own side of the
+        crossover, so no side is evaluated where it could overflow."""
         if self.variant == "degenerate":
             w = np.where(p == self.a, 1.0, INF)
             return w if isinstance(p, np.ndarray) else float(w)
+        lo, hi = (p.min(), p.max()) if isinstance(p, np.ndarray) else (p, p)
+        if not self.a < lo <= hi < self.b:
+            raise ValueError(f"p = {hi if self.a < lo else lo} outside ({self.a}, {self.b})")
         if not isinstance(p, np.ndarray):
-            _check_inside(p, self.a, self.b)
             return self._psi_at(p)
-        if self.variant == "zeta":
-            with np.errstate(divide="ignore", over="ignore"):  # z is 0.0 or subnormal
-                return 1.0 / zeta_eval(self, p)
-        _check_inside(p, self.a, self.b)
-        return np.exp(np.interp(p, self.table_p, self._log_v))
+        if self.variant == "table":
+            return np.exp(np.interp(p, self.table_p, self._log_v))
+        below = p < self.crossover
+        far = p if self.b == INF else self.b - p
+        with np.errstate(divide="ignore", over="ignore"):  # zeta is 0.0 or subnormal
+            return 1.0 / np.where(below, p - self.a, far) ** np.where(below, self.alpha, self.beta)
 
     def _psi_at(self, p: float) -> float:
         """The zeta or table weight at one exponent p, unchecked: p must lie in (a, b).
         A table weight interpolates log-linearly in p."""
-        if self.variant == "zeta":
-            z = _zeta_at(self, p)
-            return INF if z == 0.0 else 1.0 / z
-        return float(np.exp(np.interp(p, self.table_p, self._log_v)))
+        if self.variant == "table":
+            return float(np.exp(np.interp(p, self.table_p, self._log_v)))
+        z = ((p - self.a) ** self.alpha if p < self.crossover
+             else (p if self.b == INF else self.b - p) ** self.beta)
+        return INF if z == 0.0 else 1.0 / z
 
     @cached_property
     def samples(self) -> tuple:
@@ -346,30 +324,35 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def fundamental_gls(psi: PsiSpec, delta: float) -> float:
-    """sup_p delta^(1/p)/psi(p) by dense sampling plus golden-section refinement."""
+    """sup_p delta^(1/p)/psi(p) by dense sampling plus golden-section refinement; a value
+    outside the normal positive floats raises, naming delta."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if psi.variant == "degenerate":
-        return 1.0 if psi.a == INF else delta ** (1.0 / psi.a)
+        value = 1.0 if psi.a == INF else delta ** (1.0 / psi.a)
+    else:
+        logd = math.log(delta)
+        # _golden_max's exponents lie between two of the grid's, so inside (a, b)
+        log_obj = lambda p: logd / p - math.log(psi._psi_at(p))
 
-    logd = math.log(delta)
-    # _golden_max's exponents lie between two of the grid's, so inside (a, b)
-    log_obj = lambda p: logd / p - math.log(psi._psi_at(p))
-
-    # b = inf: the cap lies past the argmax log(delta) / beta above the crossover
-    p_cap = (max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0), 2.0 * logd / psi.beta)
-             if psi.b == INF else None)
-    grid, log_psi = psi._fundamental_samples(p_cap)
-    # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
-    vals = logd / grid - log_psi
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    try:
-        return math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
-    except OverflowError:
-        raise OverflowError(f"evaluating the fundamental function overflows a float at "
-                            f"delta = {delta:g}") from None
+        # b = inf: the cap lies past the argmax log(delta) / beta above the crossover
+        p_cap = (max(100.0, 8.0 * psi.a, 8.0 * (abs(logd) + 1.0), 2.0 * logd / psi.beta)
+                 if psi.b == INF else None)
+        grid, log_psi = psi._fundamental_samples(p_cap)
+        # in logs, where delta^(1/p)/psi cannot overflow; an infinite weight gives -inf
+        vals = logd / grid - log_psi
+        i = int(np.argmax(vals))
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, grid.size - 1)]
+        try:
+            value = math.exp(max(_golden_max(log_obj, float(lo), float(hi)), float(vals[i])))
+        except OverflowError:
+            raise OverflowError(f"evaluating the fundamental function overflows a float at "
+                                f"delta = {delta:g}") from None
+    if value < sys.float_info.min:  # 0.0 or subnormal
+        raise FloatingPointError(f"evaluating the fundamental function underflows a float at "
+                                 f"delta = {delta:g}")
+    return value
 
 
 def check_regime(regime: str, psi: PsiSpec):

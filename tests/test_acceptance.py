@@ -40,7 +40,6 @@ from strichartz_gls import (
     space_norm,
     sp_witness,
     sr_witness,
-    zeta_eval,
 )
 from strichartz_gls.cli import run as cli_run
 
@@ -233,7 +232,7 @@ def test_criterion_11_property_suites(capsys):
     for zp in (PsiSpec.zeta(1.0, 3.0, 1.0, 1.0), PsiSpec.zeta(1.0, INF, 1.0, -1.0),
                PsiSpec.zeta(1.0, 5.0, 1.0, 2.0)):
         h0 = zp.crossover
-        cont = max(cont, abs(zeta_eval(zp, h0 - 1e-12) - zeta_eval(zp, h0 + 1e-12)))
+        cont = max(cont, abs(1.0 / zp.psi(h0 - 1e-12) - 1.0 / zp.psi(h0 + 1e-12)))
 
     # moment-profile log-convexity
     pgrid = np.linspace(1.0, 12.0, 45)

@@ -156,6 +156,19 @@ def test_gaussian_underflow_names_sigma2(sigma2, code, tmp_path, capsys):
     assert ("numerical-domain error" in err and "sigma2" in err) if code else not err
 
 
+def test_gaussian_overflow_names_sigma2(tmp_path, capsys):
+    # |sigma2|^2 overflows a float: exit 2, naming sigma2
+    cfg = json.loads((CONFIG_DIR / "norms_gaussian.json").read_text())
+    cfg["initial"]["sigma2"] = [1.0, 1e200]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "numerical-domain error: sigma2 = (1+1e+200j) is too large: the envelope variance "
+        "|sigma2|^2 / Re(sigma2) overflows\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -330,8 +343,11 @@ TINY_TABLE = {"variant": "table", "points": {"1.5": 1e-308, "4.0": 1.0}}
     ("fundamental_zeta", {"psi": TINY_TABLE, "deltas": [1e3], "regime": None},
      "evaluating the fundamental function overflows a float at delta = 1000"),
     ("witness_sp", {"nu": TINY_TABLE},
-     "evaluating the fundamental function overflows a float at delta = 4")],
-    ids=["large-delta-asymptotic", "fundamental", "witness-sp"])
+     "evaluating the fundamental function overflows a float at delta = 4"),
+    ("fundamental_zeta", {"psi": {"variant": "table", "points": {"1.5": 1e308, "4.0": 1e308}},
+                          "deltas": [1e-300, 1e-3], "regime": None},
+     "evaluating the fundamental function underflows a float at delta = 1e-300")],
+    ids=["large-delta-asymptotic", "fundamental", "witness-sp", "fundamental-underflow"])
 def test_a_fundamental_function_outside_the_float_range_says_so(config, fields, message,
                                                                  tmp_path, capsys):
     # each used to exit 2 with "float division by zero" or "math range error"; a field

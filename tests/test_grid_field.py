@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,17 @@ def test_gaussian_lp_exact_at_inf_is_the_sup_formula_bit_for_bit(d):
             v = GaussianSpec(s2, d).envelope_variance
             sup = (v / abs(complex(s2))) ** (d / 2.0) * (2.0 * math.pi * v) ** (-d / 2.0)
             assert gaussian_lp_exact(s2, d, INF) == sup
+
+
+@pytest.mark.parametrize("sigma2", [1.0 + 1e200j, 1e160, 1e308 + 1e308j])
+def test_an_overflowing_envelope_variance_names_sigma2(sigma2):
+    # |sigma2|^2, or |sigma2| itself, overflows a float
+    message = (f"sigma2 = {sigma2} is too large: the envelope variance |sigma2|^2 / "
+               "Re(sigma2) overflows")
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        GaussianSpec(sigma2, 1).envelope_variance
+    with pytest.raises(OverflowError, match="^sigma2 = "):
+        gaussian_lp_exact(sigma2, 1, 2.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, INF])

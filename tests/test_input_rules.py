@@ -31,7 +31,6 @@ from strichartz_gls import (
     v_sr_curve,
     w_sp_curve,
     zeta_crossover,
-    zeta_eval,
 )
 from strichartz_gls import cli, functionals, spaces, witness
 from strichartz_gls.cli import run
@@ -168,13 +167,6 @@ def test_a_zeta_weight_carries_its_parameters_and_crossover():
     assert psi.crossover == zeta_crossover(1.0, 5.0, 1.0, 2.0)
     assert PsiSpec.degenerate(2.0).crossover is None
     assert not hasattr(spaces, "ZetaParams") and not hasattr(psi, "zeta_params")
-
-
-@pytest.mark.parametrize("psi", [PsiSpec.degenerate(2.0), PsiSpec.table({1.5: 1.0, 3.0: 2.0})],
-                         ids=["degenerate", "table"])
-def test_zeta_eval_refuses_a_weight_that_is_not_zeta(psi):
-    with pytest.raises(ValueError, match=f"zeta_eval needs a zeta weight, got a {psi.variant} one"):
-        zeta_eval(psi, 2.0)
 
 
 @pytest.mark.parametrize("make, match", [

@@ -20,7 +20,6 @@ from strichartz_gls import (
     moment_profile,
     space_norm,
     zeta_crossover,
-    zeta_eval,
 )
 from strichartz_gls import spaces
 from strichartz_gls.spaces import CoverageError, _bounded_sup, _weighted_sup
@@ -73,13 +72,14 @@ def test_steep_crossover_compares_its_sides_in_logs():
     assert PsiSpec.zeta(1.5, 6.0, 1.0, 500.0).crossover == h
 
 
-def test_zeta_eval_values():
+def test_zeta_values():
+    # zeta = 1 / psi
     zp = PsiSpec.zeta(1.0, 3.0, 1.0, 1.0)
     assert zp.crossover == pytest.approx(2.0)
-    assert zeta_eval(zp, 1.5) == pytest.approx(0.5)
-    assert zeta_eval(zp, 2.5) == pytest.approx(0.5)
+    assert 1.0 / zp.psi(1.5) == pytest.approx(0.5)
+    assert 1.0 / zp.psi(2.5) == pytest.approx(0.5)
     zp2 = PsiSpec.zeta(1.0, 2.0, 1.0, 1.0)
-    assert zeta_eval(zp2, 1.1) == pytest.approx(0.1, rel=1e-12)
+    assert 1.0 / zp2.psi(1.1) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_zeta_continuity_at_crossover():
@@ -88,8 +88,8 @@ def test_zeta_continuity_at_crossover():
         zp = PsiSpec.zeta(a, b, al, be)
         h = zp.crossover
         eps = 1e-9
-        left = zeta_eval(zp, h - eps)
-        right = zeta_eval(zp, h + eps)
+        left = 1.0 / zp.psi(h - eps)
+        right = 1.0 / zp.psi(h + eps)
         assert abs(left - right) < 1e-7 * max(left, right, 1e-30)
 
 
@@ -365,11 +365,22 @@ def test_asymptotic_small_delta_steep_infinite_b_in_logs():
      FloatingPointError, "evaluating the large-delta asymptotic underflows a float at "
                          "delta = 1e+300"),
     (lambda: fundamental_gls(PsiSpec.table({1.5: 1e-308, 4.0: 1.0}), 1e3),
-     OverflowError, "evaluating the fundamental function overflows a float at delta = 1000")],
-    ids=["large-delta-asymptotic", "fundamental-function"])
+     OverflowError, "evaluating the fundamental function overflows a float at delta = 1000"),
+    (lambda: fundamental_gls(PsiSpec.table({1.5: 1e308, 4.0: 1e308}), 1e-3),
+     FloatingPointError, "evaluating the fundamental function underflows a float at "
+                         "delta = 0.001"),
+    (lambda: fundamental_gls(PsiSpec.table({1.5: 1e308, 4.0: 1e308}), 1e-300),
+     FloatingPointError, "evaluating the fundamental function underflows a float at "
+                         "delta = 1e-300"),
+    (lambda: fundamental_gls(PsiSpec.degenerate(1.0), 1e-310),
+     FloatingPointError, "evaluating the fundamental function underflows a float at "
+                         "delta = 1e-310")],
+    ids=["large-delta-asymptotic", "fundamental-function", "fundamental-subnormal",
+         "fundamental-zero", "degenerate-subnormal"])
 def test_a_fundamental_function_outside_the_float_range_says_so(call, error, message):
     # log(1e300)^-200 is 0.0, and exp(log(1e3) / 1.5 + 709.2) overflows: each used to end
-    # in a message naming no quantity (float division by zero, math range error)
+    # in a message naming no quantity (float division by zero, math range error).  The
+    # other three are the subnormal 1.78e-309, 0.0 and the subnormal 1e-310.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
@@ -448,7 +459,7 @@ def test_psi_on_array_matches_float_calls(name):
 def test_psi_float_in_gives_float_out(name):
     psi, p = ARRAY_WEIGHTS[name]
     assert type(psi.psi(float(p[p.size // 2]))) is float
-    assert type(zeta_eval(PsiSpec.zeta(1.0, 3.0, 1.0, 2.0), 2.5)) is float
+    assert type(PsiSpec.zeta(1.0, 3.0, 1.0, 2.0).psi(2.5)) is float
 
 
 @pytest.mark.parametrize("name", ["zeta-finite-b", "zeta-infinite-b", "table"])
@@ -460,7 +471,7 @@ def test_psi_array_with_one_point_outside_raises(name):
         with pytest.raises(ValueError, match="outside"):
             psi.psi(q)
     with pytest.raises(ValueError, match="outside"):
-        zeta_eval(PsiSpec.zeta(1.0, 3.0, 1.0, 2.0), np.array([1.5, 3.0]))
+        PsiSpec.zeta(1.0, 3.0, 1.0, 2.0).psi(np.array([1.5, 3.0]))
 
 
 @pytest.mark.parametrize("h, w, want", [
