@@ -48,6 +48,7 @@ from .functionals import (
 )
 from .witness import (
     WitnessReport,
+    gaussian_gls_exact,
     gaussian_moment_law_check,
     sp_witness,
     sr_witness,

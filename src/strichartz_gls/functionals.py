@@ -22,7 +22,7 @@ import numpy as np
 from .grid_field import INF, GridFunction, check_increasing, moment_profile
 from .propagators import HEAT, SCHRODINGER, fractional, propagate
 from .spaces import PROFILE_MIN_OFFSET  # noqa: F401 (re-export)
-from .spaces import PsiSpec, _gls_sup, fundamental_gls
+from .spaces import PsiSpec, _gls_sup, check_covered, fundamental_gls
 
 
 MIN_CURVE_SAMPLES = 8  # mixed_norm's least number of time samples
@@ -67,10 +67,10 @@ class FunctionalCurve:
 def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
     """at(t, ||f||_X) at each time t > 2 of a strictly increasing grid, a ValueError
     excluding its time.  The weights, the grid and ||f||_X do not depend on t, so an
-    uncovered weight (PsiSpec.samples raises), a grid that does not increase or an f
-    with no finite nonzero norm in X raises once, before the first time."""
-    for psi in (psiX, psiY):
-        psi.samples  # raises for an uncovered weight
+    uncovered weight (named X or Y), a grid that does not increase or an f with no
+    finite nonzero norm in X raises once, before the first time."""
+    check_covered(psiX, "X")
+    check_covered(psiY, "Y")
     t_grid = check_increasing(t_grid, "t_grid")
     norm_x = x_norm(f, psiX)
     ts, vals, excl = [], [], []
@@ -172,7 +172,8 @@ def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:
             v = y_max * float(np.trapezoid((y / y_max) ** q, t)) ** (1.0 / q)
         return v
 
-    return _gls_sup(lambda qs: np.array([h(qi) for qi in qs.tolist()]), theta)
+    return _gls_sup(lambda qs: np.array([h(qi) for qi in qs.tolist()]),
+                    check_covered(theta, "theta"))
 
 
 @dataclass(frozen=True)

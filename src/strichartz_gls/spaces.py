@@ -238,6 +238,15 @@ class CoverageError(ValueError):
     numerical domain of the weight, not of how a config states it."""
 
 
+def check_covered(psi: PsiSpec, name: str) -> PsiSpec:
+    """psi, its samples built; a CoverageError names the weight ``name``."""
+    try:
+        psi.samples
+    except CoverageError as e:
+        raise CoverageError(f"weight {name}: {e}") from None
+    return psi
+
+
 def _weighted_sup(h: np.ndarray, w: np.ndarray) -> float:
     """sup of h/w over arrays h >= 0 and w >= 0: a zero h is skipped whatever its
     weight, and so is an infinite weight; h > 0 over a zero weight, or an

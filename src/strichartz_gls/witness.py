@@ -31,7 +31,7 @@ from .propagators import (
     propagate,
     propagate_gaussian_exact,
 )
-from .spaces import PsiSpec, _gls_sup, fundamental_gls
+from .spaces import PsiSpec, _gls_sup, check_covered, fundamental_gls
 
 
 GAP_TOL = 1e-6
@@ -41,33 +41,18 @@ _L1, _LINF = PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF)  # X and, for sr_w
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """A witness's times, its grid and closed channels there, and their relative gaps."""
+
     t_grid: np.ndarray
     grid_values: np.ndarray
     closed_values: np.ndarray
     rel_gaps: np.ndarray
 
-    @property
-    def min_value(self) -> float:
-        return float(self.grid_values.min())
 
-    @property
-    def max_value(self) -> float:
-        return float(self.grid_values.max())
-
-    @property
-    def ratio(self) -> float:
-        return self.max_value / self.min_value
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.rel_gaps.max())
-
-    def fitted_slope(self) -> float:
-        return fit_rate(self.t_grid, self.grid_values).slope
-
-    def closed_form_floor(self) -> float:
-        """Threshold for positivity checks, derived from the closed form."""
-        return 0.5 * float(self.closed_values.min())
+def gaussian_gls_exact(sigma2, d: int, psi: PsiSpec) -> float:
+    """The G(psi) norm of the exact Gaussian of variance sigma2 in d dimensions: _gls_sup
+    over gaussian_lp_exact, taken one exponent at a time."""
+    return _gls_sup(lambda q: np.array([gaussian_lp_exact(sigma2, d, x) for x in q.tolist()]), psi)
 
 
 def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
@@ -82,8 +67,8 @@ def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
 def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> WitnessReport:
     """Parabolic witness: the SP functional at f = g_1 with X = L_1, Y = G(nu).
 
-    The grid channel is w_sp_curve.  kind may be the heat flow or the fractional
-    flow with order 2 (whose exact channel is the heat evolution at doubled time).
+    Grid channel: w_sp_curve; closed: gaussian_gls_exact / phi(nu, t^e) * phi(L_1, t^e).  kind
+    may be heat or the fractional flow of order 2 (exactly, heat at doubled time).
     """
     t_grid = _witness_times(t_grid, grid, kind)
     if nu.variant != "degenerate" and not nu.a > 1:
@@ -91,14 +76,14 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     d = grid.dim
     expo = kind.sp_exponent(d)
 
-    spec = GaussianSpec(1.0, d)
-    closed_vals = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):  # first: the exact evolution refuses a fractional order != 2
-        variance = propagate_gaussian_exact(spec, kind, float(t))
-        phi_y = fundamental_gls(nu, float(t) ** expo)
-        phi_x = float(t) ** expo  # fundamental function of L_1 is the identity
-        exact = lambda q: np.array([gaussian_lp_exact(variance, d, float(x)) for x in q])
-        closed_vals[i] = (_gls_sup(exact, nu) / phi_y) * phi_x  # |g_1|_1 = 1
+    ts, spec = t_grid.tolist(), GaussianSpec(1.0, d)
+    # generators: each time takes its variance (the exact evolution refuses a fractional
+    # order != 2) and its fundamental functions before its norm samples nu
+    variances = (propagate_gaussian_exact(spec, kind, t) for t in ts)
+    phi_y = (fundamental_gls(nu, t ** expo) for t in ts)
+    phi_x = (fundamental_gls(_L1, t ** expo) for t in ts)
+    closed_vals = np.array([gaussian_gls_exact(v, d, check_covered(nu, "nu")) / y * x
+                            for v, y, x in zip(variances, phi_y, phi_x)])  # |g_1|_1 = 1
     curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
@@ -114,8 +99,8 @@ def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     d = grid.dim
     spec = GaussianSpec(1.0, d)
     curve = v_sr_curve(gaussian_sample(grid, spec), _L1, _LINF, t_grid)
-    closed_vals = np.array([t ** (d / 2.0) * gaussian_lp_exact(
-        propagate_gaussian_exact(spec, SCHRODINGER, t), d, INF) for t in t_grid.tolist()])
+    closed_vals = np.array([t ** (d / 2.0) * gaussian_gls_exact(
+        propagate_gaussian_exact(spec, SCHRODINGER, t), d, _LINF) for t in t_grid.tolist()])
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 

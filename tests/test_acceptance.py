@@ -148,17 +148,18 @@ def test_criterion_07_parabolic_witness(capsys):
     grid = make_grid(1, 200.0, 8192)
     nu = PsiSpec.table({2.0: 1.0, 4.0: 1.0})
     rep = sp_witness(nu, [4.0, 16.0, 64.0, 256.0, 1024.0], grid)
-    ok = rep.min_value > 0 and rep.ratio < 3.0 and rep.max_gap < 1e-6
+    lo, ratio = rep.grid_values.min(), rep.grid_values.max() / rep.grid_values.min()
+    gap = rep.rel_gaps.max()
+    ok = lo > 0 and ratio < 3.0 and gap < 1e-6
     _verdict(capsys, 7, "parabolic witness", ok,
-             f"min {rep.min_value:.4f} > 0, max/min {rep.ratio:.4f} < 3, "
-             f"channel gap {rep.max_gap:.2e} < 1e-6")
+             f"min {lo:.4f} > 0, max/min {ratio:.4f} < 3, channel gap {gap:.2e} < 1e-6")
 
 
 def test_criterion_08_dispersive_witness(capsys):
     grid = make_grid(1, 8192.0, 131072)
     t = np.geomspace(16.0, 1024.0, 7)
     rep = sr_witness(t, grid)
-    slope = rep.fitted_slope()
+    slope = fit_rate(rep.t_grid, rep.grid_values).slope
     limit = rep.grid_values[-1]
     target = (2.0 * math.pi) ** -0.5
     ok = abs(slope) < 0.02 and abs(limit / target - 1.0) < 0.02

@@ -401,6 +401,24 @@ def test_uncovered_weight_is_a_numerical_domain_fault(config, field, points, tmp
     assert f"does not cover ({lo}, {hi}) densely enough" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field, points", [
+    ("rate_report.json", "X", {"1.0": 1.0, "1.01": 1.0}),
+    ("functional_sweep_sp.json", "Y", {"1.0": 1.0, "1.01": 1.0}),
+    ("witness_sp.json", "nu", {"2.0": 1.0, "2.01": 1.0}),
+    ("mixed_norm.json", "theta", {"1.0": 1.0, "1.01": 1.0}),
+], ids=["rate-report-X", "sweep-sp-Y", "witness-nu", "mixed-norm-theta"])
+def test_uncovered_weight_names_its_field(config, field, points, tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg[field] = {"variant": "table", "points": points}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 2
+    lo, hi = sorted(points, key=float)
+    assert capsys.readouterr().err == (f"numerical-domain error: weight {field}: profile grid "
+                                       f"does not cover ({lo}, {hi}) densely enough\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_witness_unsafe_window_stays_a_config_fault(tmp_path, capsys):
     cfg = json.loads((CONFIG_DIR / "witness_sp.json").read_text())
     cfg["t_grid"] = [3.0, 4.0, 1e6]

@@ -323,8 +323,9 @@ def test_sweep_rejects_an_uncovered_weight_before_the_first_time(sweep, monkeypa
     narrow_x = PsiSpec.table({1.5: 1.0, 1.51: 1.0})
     narrow_y = PsiSpec.table({3.0: 1.0, 3.01: 1.0})
     # X is read first, so with both uncovered X is the one named
-    for X, Y, lo in ((narrow_x, psiY, "1.5"), (psiX, narrow_y, "3.0"), (narrow_x, narrow_y, "1.5")):
-        with pytest.raises(spaces.CoverageError, match=rf"does not cover \({lo}, "):
+    for X, Y, name, lo in ((narrow_x, psiY, "X", "1.5"), (psiX, narrow_y, "Y", "3.0"),
+                           (narrow_x, narrow_y, "X", "1.5")):
+        with pytest.raises(spaces.CoverageError, match=rf"^weight {name}: .* cover \({lo}, "):
             sweep(f, X, Y, [4.0, 16.0])
 
 
