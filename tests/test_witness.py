@@ -274,7 +274,7 @@ def test_gaussian_gls_exact_tends_to_its_laplace_limit(d, zeta, v):
     a, b, alpha, beta = zeta
     log_v = math.log(v)
     limit = gaussian_lp_exact(v, d, a) * (2.0 * alpha * a * a / (d * math.e * log_v)) ** alpha
-    ratio = gaussian_gls_exact(v, d, PsiSpec.zeta(a, b, alpha, beta)) / limit
+    exact = gaussian_gls_exact(v, d, PsiSpec.zeta(a, b, alpha, beta))
     c = alpha * (2.0 * alpha * a / d - 1.0 + math.log(a / (2.0 * math.pi)))
     lo, hi = sorted((1.0, math.exp(2.0 * c / log_v)))
-    assert lo < ratio < hi
+    assert lo < exact / limit < hi
