@@ -64,10 +64,10 @@ class FunctionalCurve:
     exclusions: tuple = ()
 
 
-def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
-    """at(t, ||f||_X) at each time t > 2 of a strictly increasing grid, a ValueError
-    excluding its time.  The weights, the grid and ||f||_X do not depend on t, so an
-    uncovered weight (named X or Y), a grid that does not increase or an f with no
+def _sweep(at, f, kind, psiX, psiY, t_grid) -> FunctionalCurve:
+    """at(t, ||flow_t f||_Y, ||f||_X) at each time t > 2 of a strictly increasing grid, a
+    ValueError excluding its time.  The weights, the grid and ||f||_X do not depend on t, so
+    an uncovered weight (named X or Y), a grid that does not increase or an f with no
     finite nonzero norm in X raises once, before the first time."""
     check_covered(psiX, "X")
     check_covered(psiY, "Y")
@@ -77,7 +77,7 @@ def _sweep(at, f, psiX, psiY, t_grid) -> FunctionalCurve:
     for t in t_grid.tolist():
         try:
             check_domain(t)
-            v = at(t, norm_x)
+            v = at(t, space_norm(propagate(f, kind, t), psiY), norm_x)
         except ValueError as e:
             excl.append((t, str(e)))
             continue
@@ -102,13 +102,12 @@ def w_sp_curve(f, psiX, psiY, t_grid, K1=1.0, K2=1.0, kind=HEAT) -> FunctionalCu
     expo = kind.sp_exponent(f.grid.dim)
     _warn_overlap(psiX, psiY)
 
-    def at(t: float, norm_x: float) -> float:
-        norm_y = space_norm(propagate(f, kind, t), psiY)
+    def at(t: float, norm_y: float, norm_x: float) -> float:
         phi_y = fundamental_gls(psiY, K1 * t ** expo)
         phi_x = fundamental_gls(psiX, K2 * t ** expo)
         return (norm_y / phi_y) / (norm_x / phi_x)
 
-    return _sweep(at, f, psiX, psiY, t_grid)
+    return _sweep(at, f, kind, psiX, psiY, t_grid)
 
 
 def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> FunctionalCurve:
@@ -126,13 +125,12 @@ def v_sr_curve(f, psiX, psiY, t_grid, K=1.0, normalization="definition") -> Func
         warnings.warn("dispersive regime expects the Y support to start at >= 2", stacklevel=2)
     d = f.grid.dim
 
-    def at(t: float, norm_x: float) -> float:
-        norm_y = space_norm(propagate(f, SCHRODINGER, t), psiY)
+    def at(t: float, norm_y: float, norm_x: float) -> float:
         arg = K * t ** (-float(d)) if normalization == "definition" else t ** (d / 2.0)
         phi_x = fundamental_gls(psiX, arg)
         return t ** (-d / 2.0) * norm_y / (norm_x * phi_x)
 
-    return _sweep(at, f, psiX, psiY, t_grid)
+    return _sweep(at, f, SCHRODINGER, psiX, psiY, t_grid)
 
 
 def mixed_norm(t_samples, y_samples, theta: PsiSpec) -> float:

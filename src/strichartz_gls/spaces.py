@@ -57,8 +57,6 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
         hi = a + 1.0
         if hi == a:  # the root lies below a + 1, as (h - a)^alpha = h^beta < 1 there
             raise ValueError(f"crossover lies within one float spacing of a = {a:g}")
-        while fun(hi) < 0:
-            hi = a + 2.0 * (hi - a)
     else:
         if min(alpha, beta) < 0:
             raise ValueError("finite b requires min(alpha, beta) >= 0")
@@ -77,8 +75,9 @@ def zeta_crossover(a: float, b: float, alpha: float, beta: float) -> float:
             except OverflowError:  # a steep side: compare the two in logs
                 return alpha * math.log(h - a) - beta * math.log(b - h)
         lo, hi = a + CROSSOVER_TOL, b - CROSSOVER_TOL
-        if fun(lo) > 0 or fun(hi) < 0:
-            raise ValueError("crossover equation has no root on (a, b)")
+        if fun(lo) > 0 or fun(hi) < 0:  # fun increases, so its root lies that near an end
+            name, end = ("a", a) if fun(lo) > 0 else ("b", b)
+            raise ValueError(f"crossover lies within {CROSSOVER_TOL:g} of {name} = {end:g}")
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats spaced wider than the tolerance
@@ -338,7 +337,7 @@ def fundamental_gls(psi: PsiSpec, delta: float) -> float:
     if not delta > 0:
         raise ValueError("delta must be positive")
     if psi.variant == "degenerate":
-        value = 1.0 if psi.a == INF else delta ** (1.0 / psi.a)
+        value = delta ** (1.0 / psi.a)
     else:
         logd = math.log(delta)
         # _golden_max's exponents lie between two of the grid's, so inside (a, b)

@@ -72,18 +72,14 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     """
     t_grid = _witness_times(t_grid, grid, kind)
     if nu.variant != "degenerate" and not nu.a > 1:
-        raise ValueError("the witness requires the Y support to start above 1")
+        raise ValueError(f"nu: the witness requires a support above 1, got a = {nu.a:g}")
+    check_covered(nu, "nu")
     d = grid.dim
     expo = kind.sp_exponent(d)
-
-    ts, spec = t_grid.tolist(), GaussianSpec(1.0, d)
-    # generators: each time takes its variance (the exact evolution refuses a fractional
-    # order != 2) and its fundamental functions before its norm samples nu
-    variances = (propagate_gaussian_exact(spec, kind, t) for t in ts)
-    phi_y = (fundamental_gls(nu, t ** expo) for t in ts)
-    phi_x = (fundamental_gls(_L1, t ** expo) for t in ts)
-    closed_vals = np.array([gaussian_gls_exact(v, d, check_covered(nu, "nu")) / y * x
-                            for v, y, x in zip(variances, phi_y, phi_x)])  # |g_1|_1 = 1
+    spec = GaussianSpec(1.0, d)
+    closed_vals = np.array([gaussian_gls_exact(propagate_gaussian_exact(spec, kind, t), d, nu)
+                            / fundamental_gls(nu, t ** expo) * fundamental_gls(_L1, t ** expo)
+                            for t in t_grid.tolist()])  # |g_1|_1 = 1
     curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
@@ -113,8 +109,9 @@ def gaussian_moment_law_check(r_list, t_grid, grid: Grid) -> list:
     """
     t_grid = _witness_times(t_grid, grid, SCHRODINGER)
     d = grid.dim
-    if not all(r > 1 for r in r_list):  # inf > 1; a NaN fails
-        raise ValueError("moment law holds for r in (1, inf]")
+    for i, r in enumerate(r_list):
+        if not r > 1:  # inf > 1; a NaN fails
+            raise ValueError(f"r_list.{i}: the moment law holds for r in (1, inf], got {r:g}")
     f = gaussian_sample(grid, GaussianSpec(1.0, d))
     vals = np.empty((len(r_list), t_grid.size))  # |U_t f|_r, one evolved field at a time
     for j, t in enumerate(t_grid):

@@ -262,7 +262,7 @@ def test_mixed_norm_steep_curve_is_infinite_without_warning(theta, tmp_path):
 
 
 def test_zeta_crossover_within_a_float_spacing_of_a_is_a_config_fault(tmp_path):
-    # a + 1 rounds to a = 1e17, so the crossover's bracket [a, a + 1] cannot grow: the
+    # a + 1 rounds to a = 1e17, so the crossover's bracket [a, a + 1] is empty: the
     # run must end (in a subprocess, so that a hang fails this test instead of the suite)
     cfg = json.loads((CONFIG_DIR / "fundamental_zeta.json").read_text())
     cfg["psi"] = {"variant": "zeta", "a": 1e17, "b": "inf", "alpha": 1, "beta": -1}
@@ -275,6 +275,22 @@ def test_zeta_crossover_within_a_float_spacing_of_a_is_a_config_fault(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error: invalid psi: crossover lies within")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, field, zeta, message", [
+    ("fundamental_zeta", "psi", (1, "inf", 1, 0), "b = inf requires alpha >= 0 and beta < 0"),
+    ("functional_sweep_sp", "X", (2, "inf", 0, -1), "alpha = 0 with b = inf requires a = 1"),
+    ("witness_sp", "nu", (1, 1.5, 0.01, 5), "crossover lies within 1e-12 of a = 1"),
+], ids=["infinite-b-beta", "infinite-b-alpha-zero", "root-at-a"])
+def test_zeta_crossover_refusal_is_a_config_fault(config, field, zeta, message, tmp_path,
+                                                  capsys):
+    cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    cfg[field] = {"variant": "zeta", **dict(zip(("a", "b", "alpha", "beta"), zeta))}
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: invalid {field}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -591,6 +607,9 @@ CONFIG_FAULTS = [
     ("rate_report", ("predicted", "d"), 1.5, "predicted.d"),
     ("rate_report", ("predicted", "d"), 0, "predicted.d"),
     ("rate_report", ("predicted", "d"), 2, "predicted.d"),
+    # a witness input named no field, or called nu "Y"
+    ("moment_law", ("r_list",), [2, 0.5], "r_list.1"),
+    ("witness_sp", ("nu",), {"variant": "zeta", "a": 1, "b": 3, "alpha": 1, "beta": 1}, "nu"),
 ]
 
 

@@ -249,7 +249,8 @@ def test_curve_records_exclusions():
 def test_sweep_excludes_a_non_finite_or_nonpositive_value():
     _, f, psiX, psiY = _sp_setup()
     values = {4.0: INF, 8.0: 0.0, 16.0: 0.5, 32.0: -1.0, 64.0: math.nan}
-    curve = functionals._sweep(lambda t, norm_x: values[t], f, psiX, psiY, list(values))
+    curve = functionals._sweep(lambda t, norm_y, norm_x: values[t], f, HEAT, psiX, psiY,
+                               list(values))
     assert curve.t_grid.tolist() == [16.0] and curve.values.tolist() == [0.5]
     assert curve.exclusions == tuple(
         (t, f"non-finite or nonpositive value {values[t]}") for t in (4.0, 8.0, 32.0, 64.0))

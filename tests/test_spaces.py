@@ -72,6 +72,18 @@ def test_steep_crossover_compares_its_sides_in_logs():
     assert PsiSpec.zeta(1.5, 6.0, 1.0, 500.0).crossover == h
 
 
+@pytest.mark.parametrize("params, message", [
+    ((1.0, INF, 1.0, 0.0), "b = inf requires alpha >= 0 and beta < 0"),
+    ((2.0, INF, 0.0, -1.0), "alpha = 0 with b = inf requires a = 1"),
+    # the root of (h - 1)^0.01 = (1.5 - h)^5 lies near 1 + 0.5^500, and symmetrically
+    ((1.0, 1.5, 0.01, 5.0), "crossover lies within 1e-12 of a = 1"),
+    ((1.0, 1.5, 5.0, 0.01), "crossover lies within 1e-12 of b = 1.5"),
+], ids=["infinite-b-beta", "infinite-b-alpha-zero", "root-at-a", "root-at-b"])
+def test_zeta_weight_refuses_a_crossover_it_cannot_place(params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PsiSpec.zeta(*params)
+
+
 def test_zeta_values():
     # zeta = 1 / psi
     zp = PsiSpec.zeta(1.0, 3.0, 1.0, 1.0)
@@ -405,6 +417,34 @@ def test_asymptotic_large_delta_worked_value():
     # (a^2 alpha / e)^alpha delta^{1/a} (log delta)^{-a} at delta = e^20
     assert fv == pytest.approx((4.0 / math.e) * math.exp(10.0) / 400.0, rel=1e-12)
     assert fv == pytest.approx(81.03083927575385, rel=1e-12)
+
+
+# The asymptotic's ratio to the fundamental function at |log delta| = L is 1 + c/L + c2/L^2
+# + ..., so L |1 - num/asy| reads |c| + O(1/L), and its readings at L = 200 and 600 differ
+# by about |c2/c| (1/200 - 1/600) relative: a margin of 20% holds while |c2/c| <= 60 (the
+# families below read at most 23, a 7.6% difference).  A constant C != 1 makes it grow like
+# L |1 - C|, and a wrong power of log delta faster: either triples from L = 200 to 600.
+LIMIT_FAMILIES = {  # zeta(a, b; alpha, beta), its regime, and the side num/asy tends to 1 from
+    "1,3;1,1-small": ((1.0, 3.0, 1.0, 1.0), "small", -1),
+    "2,6;0.5,2-small": ((2.0, 6.0, 0.5, 2.0), "small", -1),
+    "1.5,4;2,0.5-small": ((1.5, 4.0, 2.0, 0.5), "small", -1),
+    "1.2,5;0.7,1.3-small": ((1.2, 5.0, 0.7, 1.3), "small", -1),
+    "1,inf;1,-1-large": ((1.0, INF, 1.0, -1.0), "large", 1),
+    "2,inf;2,-1-large": ((2.0, INF, 2.0, -1.0), "large", 1),
+}
+
+
+@pytest.mark.parametrize("params, regime, side", LIMIT_FAMILIES.values(), ids=LIMIT_FAMILIES)
+def test_asymptotic_tends_to_the_fundamental_function(params, regime, side):
+    psi, logs = PsiSpec.zeta(*params), (200.0, 600.0)
+    ratios = []
+    for L in logs:
+        delta = math.exp(-L if regime == "small" else L)
+        ratios.append(fundamental_gls(psi, delta) / fundamental_asymptotic(psi, delta, regime))
+    near, far = (side * (r - 1.0) for r in ratios)
+    assert near > far > 0.0
+    scaled = [L * abs(1.0 - r) for L, r in zip(logs, ratios)]
+    assert scaled[1] == pytest.approx(scaled[0], rel=0.2)
 
 
 def test_asymptotic_regime_guards():

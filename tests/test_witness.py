@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strichartz_gls import cli, functionals
+from strichartz_gls import cli, functionals, spaces, witness
 from strichartz_gls import (
     HEAT,
     INF,
@@ -128,8 +128,19 @@ def test_sp_witness_guards():
         sp_witness(nu, [1.0, 4.0, 16.0, 64.0], SP_GRID)
     with pytest.raises(ValueError):
         sp_witness(nu, SP_TIMES, SP_GRID, kind=fractional(1.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nu: the witness requires a support above 1, got a = 1$"):
         sp_witness(PsiSpec.zeta(1.0, 2.0, 1.0, 1.0), SP_TIMES, SP_GRID)
+
+
+def test_sp_witness_checks_nu_once_before_its_first_time(monkeypatch):
+    names, check_covered = [], witness.check_covered
+    monkeypatch.setattr(witness, "check_covered",
+                        lambda psi, name: names.append(name) or check_covered(psi, name))
+    sp_witness(PsiSpec.table({2.0: 1.0, 4.0: 1.0}), SP_TIMES, SP_GRID)
+    assert names == ["nu"]
+    monkeypatch.setattr(witness, "propagate_gaussian_exact", lambda *a: pytest.fail("evolved"))
+    with pytest.raises(spaces.CoverageError, match=r"^weight nu: profile grid does not cover"):
+        sp_witness(PsiSpec.table({2.0: 1.0, 2.01: 1.0}), SP_TIMES, SP_GRID)
 
 
 @pytest.mark.parametrize("grid, times", [(SR_GRID, SR_TIMES),
@@ -175,7 +186,7 @@ def test_moment_law_check_rows():
 
 
 def test_moment_law_check_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r_list\.0: the moment law holds for r in \(1, inf\]"):
         gaussian_moment_law_check([1.0], SR_TIMES, SR_GRID)
 
 
