@@ -54,7 +54,7 @@ def _warn_overlap(psiX: PsiSpec, psiY: PsiSpec):
         warnings.warn("exponent supports overlap: msupp(X) is not below msupp(Y)", stacklevel=3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalCurve:
     """A functional's finite positive values at the increasing times t > 2 it kept, and
     (t, reason) for each time it excluded: a plain record, built by _sweep alone."""

@@ -135,17 +135,16 @@ def _bounded_product(maxima) -> bool:
     return all(b < _HALF_MAX for b in itertools.accumulate(maxima, operator.mul))
 
 
-def _sorted_neg_log(v: np.ndarray) -> tuple:
-    """(m, -log(|v|/m) over the nonzero entries, sorted) with m = max |v|."""
+def _sorted_neg_log(v: np.ndarray) -> np.ndarray:
+    """-log(|v|/m) over the nonzero entries, sorted, with m = max |v| > 0."""
     a = np.abs(v)
-    m = float(a.max())
     nl = a[a > 0]
-    nl /= m
+    nl /= a.max()
     np.log(nl, out=nl)
     np.negative(nl, out=nl)
     nl.sort()
     nl.flags.writeable = False
-    return m, nl
+    return nl
 
 
 def _tensor_product(factors) -> np.ndarray:
@@ -307,7 +306,7 @@ def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
     return amp * (2.0 * math.pi * v) ** (-d * (1.0 - 1.0 / q) / 2.0) * q ** (-d / (2.0 * q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentProfile:
     """The moment function h(p) = |f|_p >= 0 at each exponent of a strictly increasing
     grid: a plain record, checked by moment_profile, its producer."""
@@ -335,26 +334,22 @@ def _power_sums(nl: np.ndarray, p: np.ndarray, nodes: int) -> list:
     return sums
 
 
-def _power_sum(v: np.ndarray, p: float) -> tuple:
-    """(m, [sum((|v|/m) ** p)]) with m = max |v|, over every entry of v; the list is
-    empty when m = 0."""
+def _power_sum(v: np.ndarray, p: float) -> list:
+    """[sum((|v|/m) ** p)] with m = max |v| > 0, over every entry of v."""
     a = np.abs(v)
-    m = float(a.max())
-    if not m:
-        return m, []
-    a /= m
+    a /= a.max()
     if p != 1:  # x ** 1.0 is x, and costs as much as any other power
         a **= p
-    return m, [float(np.sum(a))]
+    return [float(np.sum(a))]
 
 
 def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
     """Quadrature L_p norms |f|_p at each exponent of a strictly increasing grid; an
     empty grid, an exponent below 1 or a grid that does not increase is rejected.
 
-    The max of |f| is factored out of every finite-p sum to avoid overflow.
-    Max and sums are products over the parts of f; a one-part product is the
-    part's own max and sums, bit for bit.
+    m = |f|_inf, the product of the parts' _maxima, is factored out of every finite-p sum
+    to avoid overflow.  The sums, products over the parts of f, are taken only if m > 0
+    (no part is 0 and the product does not underflow); one part gives its own sums.
     """
     p = np.asarray(list(p_grid), dtype=float)
     if p.size == 0:
@@ -364,23 +359,19 @@ def moment_profile(f: GridFunction, p_grid) -> MomentProfile:
         raise ValueError(f"exponent must satisfy p >= 1, got {p[below][0]}")
     check_increasing(p, "p_grid")
     finite = p[p != INF]
-    if finite.size > 1:
-        n = f._parts[0].size
-        parts = _map_shared(lambda ml: (ml[0], _power_sums(ml[1], finite, n) if ml[0] else []),
-                            f._sorted_neg_logs)
-    elif finite.size:  # one power sum over every entry of each part
-        parts = _map_shared(lambda v: _power_sum(v, finite[0]), f._parts)
-    else:  # no finite exponent: the maxima the parts keep
-        parts = [(m, []) for m in f._maxima]
-    m = math.prod(mj for mj, _ in parts)
-    # m = 0 when a part is 0 or every node underflows
-    sums = [math.prod(s) for s in zip(*(sj for _, sj in parts))] if m else []
+    m = math.prod(f._maxima)
+    vol = f.grid.cell_volume
     out = np.zeros(p.size)
     out[finite.size:] = m
-    vol = f.grid.cell_volume
-    # finished one exponent at a time: the vectorised power moves the last digit
-    for i, (pi, s) in enumerate(zip(finite.tolist(), sums)):
-        out[i] = m * (s * vol) ** (1.0 / pi)
+    if m and finite.size:
+        if finite.size > 1:
+            n = f._parts[0].size
+            parts = _map_shared(lambda nl: _power_sums(nl, finite, n), f._sorted_neg_logs)
+        else:  # one power sum over every entry of each part
+            parts = _map_shared(lambda v: _power_sum(v, finite[0]), f._parts)
+        # finished one exponent at a time: the vectorised power moves the last digit
+        for i, (pi, *s) in enumerate(zip(finite.tolist(), *parts)):
+            out[i] = m * (math.prod(s) * vol) ** (1.0 / pi)
     return MomentProfile(p, out)
 
 

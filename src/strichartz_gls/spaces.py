@@ -95,7 +95,9 @@ class PsiSpec:
 
     Variants: "zeta" (psi = 1/zeta, zeta the piecewise power (p-a)^alpha below the
     crossover, then (b-p)^beta for finite b or p^beta for b = inf), "degenerate"
-    (plain L_s, a = b = s), "table" (log-linearly interpolated samples).
+    (plain L_s, a = b = s), "table" (log-linearly interpolated samples).  Two weights
+    are equal, and hash equal, when their parameters are: a table's are its (p, psi)
+    points, a tuple of floats, however its keys were written.
     """
 
     a: float
@@ -103,9 +105,10 @@ class PsiSpec:
     variant: str
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    table_p: Optional[np.ndarray] = None
-    table_v: Optional[np.ndarray] = None
+    table_p: Optional[np.ndarray] = field(default=None, compare=False)
+    table_v: Optional[np.ndarray] = field(default=None, compare=False)
     crossover: Optional[float] = field(default=None, init=False)  # of a zeta weight
+    points: tuple = field(default=(), init=False)  # of a table weight
 
     @classmethod
     def zeta(cls, a: float, b: float, alpha: float, beta: float) -> "PsiSpec":
@@ -146,6 +149,7 @@ class PsiSpec:
                 raise ValueError("table weight exponents must run from a to b")
             check_interval(self.a, self.b)
             object.__setattr__(self, "_log_v", np.log(v))
+            object.__setattr__(self, "points", tuple(zip(p.tolist(), v.tolist())))
         else:
             raise ValueError(f"unknown weight variant {self.variant!r}")
 
@@ -227,9 +231,12 @@ def exponent_grid(
     n = max(64 if b == INF else 32, int(per_decade * math.log10(span / min_offset)) + 1)
     off = np.geomspace(min_offset, span, n)
     pts = a + off if b == INF else np.concatenate([a + off, b - off])
-    # an offset finer than the float spacing near a or b rounds onto the endpoint
-    pts = np.unique(pts)
-    return pts[(pts > a) & (pts < b)]
+    # an offset finer than the float spacing near a or b rounds onto the endpoint or onto
+    # the next offset: once sorted, each such repeat lies next to its equal
+    pts.sort()
+    keep = (pts > a) & (pts < b)
+    keep[1:] &= pts[1:] != pts[:-1]
+    return pts[keep]
 
 
 class CoverageError(ValueError):
@@ -291,7 +298,7 @@ def _bounded_sup(h_at: Callable[[np.ndarray], np.ndarray], p: np.ndarray, w: np.
     of the best ratio so far less 1e-9 (rounding), until none is or the sup is inf.
     """
     h, done = np.zeros(p.size), np.zeros(p.size, dtype=bool)
-    pick = np.union1d(np.arange(0, p.size, 16), [p.size - 1])
+    pick = np.append(np.arange(0, p.size - 1, 16), p.size - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_w = np.log(w)
         while pick.size:

@@ -39,7 +39,7 @@ GAP_TOL = 1e-6
 _L1, _LINF = PsiSpec.degenerate(1.0), PsiSpec.degenerate(INF)  # X and, for sr_witness, Y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
     """A witness's times, its grid and closed channels there, and their relative gaps."""
 

@@ -389,16 +389,18 @@ def test_huge_finite_extent_samples_the_gaussian(tmp_path):
 
 
 def test_overflowing_cell_volume_says_so(tmp_path, capsys):
-    # h^d = (2L / N)^2 overflows for L = 1e200: exit 2, naming the cell volume, grid.L and d
+    # h^d = (2L / N)^2 overflows for L = 1e200: exit 2, naming the cell volume, grid.L and d,
+    # also when no finite exponent asks for a power sum
     cfg = {**json.loads((CONFIG_DIR / "norms_gaussian.json").read_text()),
            "d": 2, "grid": {"L": 1e200, "N": 16}}
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(cfg))
-    assert run(str(path), str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical-domain error: cell volume h^d overflows"), err
-    assert "grid.L = 1e+200" in err and "d = 2" in err
-    assert not (tmp_path / "out").exists()
+    for p_grid in (cfg["p_grid"], ["inf"]):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({**cfg, "p_grid": p_grid}))
+        assert run(str(path), str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-domain error: cell volume h^d overflows"), err
+        assert "grid.L = 1e+200" in err and "d = 2" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config, field, points", [

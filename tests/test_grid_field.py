@@ -246,6 +246,19 @@ def test_sup_norm_reads_each_maximum_once(monkeypatch):
     assert sizes == [64 ** 3]
 
 
+@pytest.mark.parametrize("factors", [
+    (np.ones(16), np.zeros(16)),
+    # each max is 1e-110, and their product underflows to 0
+    (np.full(16, 1e-110),) * 3,
+], ids=["zero-factor", "underflowing-maxima"])
+def test_a_field_of_max_zero_takes_no_power_sum(factors, monkeypatch):
+    f = GridFunction(make_grid(len(factors), 8.0, 16), factors=factors)
+    for name in ("_power_sums", "_power_sum"):
+        monkeypatch.setattr(grid_field, name, lambda *a: pytest.fail("summed"))
+    for p_grid in ([2.0], [1.0, 2.5, INF], [INF]):
+        assert moment_profile(f, p_grid).values.tolist() == [0.0] * len(p_grid)
+
+
 def test_moment_profile_rejects_bad_grids():
     g = make_grid(1, 32.0, 64)
     f = box_indicator(g, 4)

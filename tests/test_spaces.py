@@ -22,7 +22,10 @@ from strichartz_gls import (
     zeta_crossover,
 )
 from strichartz_gls import spaces
+from strichartz_gls.functionals import FunctionalCurve
+from strichartz_gls.grid_field import MomentProfile
 from strichartz_gls.spaces import CoverageError, _bounded_sup, _weighted_sup
+from strichartz_gls.witness import WitnessReport
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -123,6 +126,29 @@ def test_exponent_grid_too_wide_is_a_value_error(a, b):
         exponent_grid(a, b)
 
 
+@pytest.mark.parametrize("a, b, kw", [
+    (1.0, 3.0, {}),
+    # offsets below the float spacing near a (and b) round onto the end and onto each other
+    (1e4, INF, {"min_offset": 1e-12}),
+    (1e6, 2e6, {"min_offset": 1e-12}),
+    (1e6, INF, {"min_offset": 1e-12, "p_cap": 2e6}),
+    (2.0, INF, {"min_offset": 1e-15, "p_cap": 2.5}),
+], ids=["default", "1e4-inf", "1e6-finite-b", "1e6-inf-capped", "inf-capped"])
+def test_exponent_grid_is_the_unique_offsets_inside_the_interval(a, b, kw):
+    per_decade, min_offset, p_cap = 64, kw.get("min_offset", 1e-6), kw.get("p_cap")
+    span = (p_cap or max(100.0, 8.0 * a)) - a if b == INF else 0.5 * (b - a)
+    n = max(64 if b == INF else 32, int(per_decade * math.log10(span / min_offset)) + 1)
+    off = np.geomspace(min_offset, span, n)
+    pts = a + off if b == INF else np.concatenate([a + off, b - off])
+    want = np.unique(pts)
+    want = want[(want > a) & (want < b)]
+    p = exponent_grid(a, b, **kw)
+    assert p.tobytes() == want.tobytes()
+    assert np.all(p[1:] > p[:-1]) and a < p[0] and p[-1] < b
+    if a > 1.0:  # these cases hold repeats for the sort to drop
+        assert np.unique(pts).size < pts.size
+
+
 @pytest.mark.parametrize("points, match", [
     ({"2": 1.0, "inf": 2.0}, "exponents must be finite"),
     ({"2": 1.0, "1e400": 2.0}, "exponents must be finite"),
@@ -134,6 +160,28 @@ def test_table_rejects_an_infinite_or_repeated_exponent(points, match):
     # a repeated exponent used to give a weight that depends on the keys' order
     with pytest.raises(ValueError, match=match):
         PsiSpec.table(points)
+
+
+def test_a_table_weight_compares_and_hashes_by_its_points():
+    by_float = PsiSpec.table({2.0: 1.0, 3.0: 0.25, 4.0: 2.0})
+    by_string = PsiSpec.table({"4": 2.0, "2.0": "1", "3": 0.25})
+    assert by_float == by_string and hash(by_float) == hash(by_string)
+    assert {by_float: "X"}[by_string] == "X" and len({by_float, by_string}) == 1
+    assert by_float.points == ((2.0, 1.0), (3.0, 0.25), (4.0, 2.0))
+    assert by_float != PsiSpec.table({2.0: 1.0, 3.0: 0.5, 4.0: 2.0})
+    assert PsiSpec.zeta(1.0, 3.0, 1.0, 2.0) == PsiSpec.zeta(1.0, 3.0, 1.0, 2.0)
+    assert PsiSpec.zeta(1.0, 3.0, 1.0, 2.0) != PsiSpec.zeta(1.0, 3.0, 1.0, 1.0)
+    assert PsiSpec.degenerate(2.0) == PsiSpec.degenerate(2.0) != PsiSpec.degenerate(3.0)
+
+
+def test_the_array_records_compare_by_identity():
+    # a generated == over array fields raised "truth value of an array is ambiguous"
+    for make in (lambda: MomentProfile(np.array([1.0, 2.0]), np.ones(2)),
+                 lambda: FunctionalCurve(np.array([3.0, 4.0]), np.ones(2)),
+                 lambda: WitnessReport(*(np.ones(2) for _ in range(4)))):
+        record = make()
+        assert (record == record) is True
+        assert (record == make()) is False
 
 
 def test_samples_reject_an_uncovered_weight_at_every_use():
