@@ -10,7 +10,6 @@ from .grid_field import (
     GridFunction,
     MomentProfile,
     box_indicator,
-    gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
     make_grid,
@@ -32,7 +31,6 @@ from .propagators import (
     fractional,
     laplacian_propagate,
     propagate,
-    propagate_gaussian_exact,
     safe_time_bound,
 )
 from .functionals import (

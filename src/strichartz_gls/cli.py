@@ -56,7 +56,6 @@ from .propagators import (
     PropagatorKind,
     check_window,
     propagate,
-    propagate_gaussian_exact,
 )
 from .spaces import (ASYMPTOTIC_REGIMES, CoverageError, PsiSpec, check_covered, check_regime,
                      exponent_grid, fundamental_asymptotic, fundamental_gls)
@@ -66,6 +65,7 @@ from .witness import GAP_TOL, sp_witness, sr_witness, gaussian_moment_law_check
 MAX_GRID_NODES = 2 ** 24     # N^d: 16 Mi nodes, 256 MiB per complex array
 MAX_TIME_SAMPLES = 4096      # t_grid.count: one propagation per sample
 MAX_CURVE_SAMPLES = 2 ** 20  # curve.count of mixed-norm
+MAX_PROPAGATE_ROWS = 2 ** 20  # N^d of a propagate run: one CSV row per node, 58 MiB at the cap
 
 _MISSING = object()
 
@@ -260,7 +260,7 @@ def parse_kind(cfg: Fields, sp: bool = False, exact: bool = False) -> Propagator
         if sp:
             kind.sp_exponent(1)
         if exact:
-            propagate_gaussian_exact(GaussianSpec(1.0, 1), kind, 0.0)
+            GaussianSpec(1.0, 1).evolve(kind, 0.0)
     return kind
 
 
@@ -325,6 +325,10 @@ def _run_fundamental(cfg):
 
 def _run_propagate(cfg):
     grid = parse_grid(cfg)
+    n, d = grid.points_per_axis, grid.dim
+    if n ** d > MAX_PROPAGATE_ROWS:
+        raise ConfigError(f"field grid.N must keep N^d at most {MAX_PROPAGATE_ROWS} for a "
+                          f"propagate run, which writes one CSV row per node, got {n}^{d}")
     f, sigma2_real = parse_initial(cfg, grid)
     kind = parse_kind(cfg)
     t = cfg.finite("t")

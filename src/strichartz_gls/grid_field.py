@@ -10,6 +10,8 @@ sum_k |f_j(k)|^p and |f|_inf = prod_j max |f_j|, each max taken once, at
 construction.  Its values are built only for a caller that reads nodes
 (f + g, c * f, spectrum, the propagate CSV).
 moment_profile checks its exponents; the MomentProfile it returns is plain data.
+GaussianSpec is the one exact datum: gaussian_sample puts it on a grid, and its
+L_q norm (lp) and its evolution under an order-2 flow (evolve) are closed forms.
 check_increasing is the one order rule on exponents and times, wherever they are given.
 """
 
@@ -259,6 +261,26 @@ class GaussianSpec:
             raise OverflowError(f"sigma2 = {self.sigma2} is too large: the envelope variance "
                                 f"|sigma2|^2 / Re(sigma2) overflows") from None
 
+    def lp(self, q: float) -> float:
+        """Exact L_q norm: |g(x)| is itself a scaled real Gaussian with envelope variance
+        v = |s2|^2/Re(s2) and amplitude factor (v/|s2|)^(d/2), so the real closed form
+        applies to it, at q = inf too: 1/inf = 0 and inf^-0 = 1."""
+        s2, d = complex(self.sigma2), self.dim
+        v = self.envelope_variance
+        amp = (v / abs(s2)) ** (d / 2.0)
+        if not q >= 1:
+            raise ValueError(f"exponent must satisfy q >= 1, got {q}")
+        return amp * (2.0 * math.pi * v) ** (-d * (1.0 - 1.0 / q) / 2.0) * q ** (-d / (2.0 * q))
+
+    def evolve(self, kind, t: float) -> "GaussianSpec":
+        """The Gaussian after time t of an order-2 flow (a propagators.PropagatorKind): variance
+        s2 + 2 rate t, so heat s2 + t, schrodinger s2 + i t, fractional order 2 s2 + 2t
+        (S_2(t) = T_2t)."""
+        if kind.order != 2:
+            raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
+        kind.check_time(t)
+        return GaussianSpec(complex(self.sigma2) + 2 * kind.rate * t, self.dim)
+
 
 def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
     """Sample the Gaussian at grid nodes; rejects grids too small for its mass."""
@@ -289,21 +311,6 @@ def gaussian_sample(grid: Grid, spec: GaussianSpec) -> GridFunction:
 def lp_norm(f: GridFunction, p: float) -> float:
     """Quadrature L_p norm; p = math.inf gives the node maximum of |f|."""
     return float(moment_profile(f, [p]).values[0])
-
-
-def gaussian_lp_exact(sigma2: complex, d: int, q: float) -> float:
-    """Exact L_q norm of the (possibly complex-variance) Gaussian.
-
-    |g(x)| is itself a scaled real Gaussian with envelope variance
-    v = |s2|^2/Re(s2) and amplitude factor (v/|s2|)^(d/2), so the real
-    closed form applies to it, at q = inf too: 1/inf = 0 and inf^-0 = 1.
-    """
-    s2 = complex(sigma2)
-    v = GaussianSpec(sigma2, d).envelope_variance
-    amp = (v / abs(s2)) ** (d / 2.0)
-    if not q >= 1:
-        raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    return amp * (2.0 * math.pi * v) ** (-d * (1.0 - 1.0 / q) / 2.0) * q ** (-d / (2.0 * q))
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import GaussianSpec, Grid, GridFunction, _map_shared, _tensor_product
+from .grid_field import Grid, GridFunction, _map_shared, _tensor_product
 
 
 _RATES = {"heat": 0.5, "schrodinger": 0.5j, "fractional": 1.0}  # order: 2, or the fractional alpha
@@ -122,15 +122,6 @@ def propagate(f: GridFunction, kind: PropagatorKind, t: float) -> GridFunction:
             lambda s: _apply_multiplier(m if f.grid.dim == 1 else m.copy(), s),
             f._factor_spectra))
     return GridFunction(f.grid, _apply_multiplier(_multiplier(f.grid, kind, t), f.spectrum))
-
-
-def propagate_gaussian_exact(spec: GaussianSpec, kind: PropagatorKind, t: float) -> complex:
-    """The variance s2 + 2 rate t after time t of an order-2 flow: heat s2 + t,
-    schrodinger s2 + i t, fractional order 2 s2 + 2t (S_2(t) = T_2t)."""
-    if kind.order != 2:
-        raise ValueError("exact Gaussian evolution covers heat, schrodinger and order 2 only")
-    kind.check_time(t)
-    return complex(spec.sigma2) + 2 * kind.rate * t
 
 
 def laplacian_propagate(f: GridFunction, alpha: float, t: float) -> GridFunction:

@@ -2,10 +2,10 @@
 
 Each witness evaluates a two-space functional at the unit Gaussian through
 two channels: the functional's own curve on the grid (w_sp_curve or
-v_sr_curve), and a closed-form channel built from the exact Gaussian
-variance evolution and the exact Gaussian L_p moments.  The closed form is
-the ground truth; the grid run validates the pipeline, and their per-time
-relative gap is reported.
+v_sr_curve), and a closed-form channel read off the GaussianSpec record:
+its flow (evolve) and, through gaussian_gls_exact, its exact L_q norms
+(lp).  The closed form is the ground truth; the grid run validates the
+pipeline, and their per-time relative gap is reported.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .grid_field import (
     INF,
     GaussianSpec,
     Grid,
-    gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
 )
@@ -29,7 +28,6 @@ from .propagators import (
     PropagatorKind,
     check_window,
     propagate,
-    propagate_gaussian_exact,
 )
 from .spaces import PsiSpec, _gls_sup, check_covered, fundamental_gls
 
@@ -49,10 +47,10 @@ class WitnessReport:
     rel_gaps: np.ndarray
 
 
-def gaussian_gls_exact(sigma2, d: int, psi: PsiSpec) -> float:
-    """The G(psi) norm of the exact Gaussian of variance sigma2 in d dimensions: _gls_sup
-    over gaussian_lp_exact, taken one exponent at a time."""
-    return _gls_sup(lambda q: np.array([gaussian_lp_exact(sigma2, d, x) for x in q.tolist()]), psi)
+def gaussian_gls_exact(spec: GaussianSpec, psi: PsiSpec) -> float:
+    """The G(psi) norm of the exact Gaussian spec: _gls_sup over spec.lp, taken one
+    exponent at a time."""
+    return _gls_sup(lambda q: np.array([spec.lp(x) for x in q.tolist()]), psi)
 
 
 def _witness_times(t_grid, grid: Grid, kind: PropagatorKind) -> np.ndarray:
@@ -77,7 +75,7 @@ def sp_witness(nu: PsiSpec, t_grid, grid: Grid, kind: PropagatorKind = HEAT) -> 
     d = grid.dim
     expo = kind.sp_exponent(d)
     spec = GaussianSpec(1.0, d)
-    closed_vals = np.array([gaussian_gls_exact(propagate_gaussian_exact(spec, kind, t), d, nu)
+    closed_vals = np.array([gaussian_gls_exact(spec.evolve(kind, t), nu)
                             / fundamental_gls(nu, t ** expo) * fundamental_gls(_L1, t ** expo)
                             for t in t_grid.tolist()])  # |g_1|_1 = 1
     curve = w_sp_curve(gaussian_sample(grid, spec), _L1, nu, t_grid, kind=kind)
@@ -95,8 +93,8 @@ def sr_witness(t_grid, grid: Grid) -> WitnessReport:
     d = grid.dim
     spec = GaussianSpec(1.0, d)
     curve = v_sr_curve(gaussian_sample(grid, spec), _L1, _LINF, t_grid)
-    closed_vals = np.array([t ** (d / 2.0) * gaussian_gls_exact(
-        propagate_gaussian_exact(spec, SCHRODINGER, t), d, _LINF) for t in t_grid.tolist()])
+    closed_vals = np.array([t ** (d / 2.0) * gaussian_gls_exact(spec.evolve(SCHRODINGER, t), _LINF)
+                            for t in t_grid.tolist()])
     gaps = np.abs(curve.values - closed_vals) / closed_vals
     return WitnessReport(t_grid, curve.values, closed_vals, gaps)
 

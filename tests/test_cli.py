@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strichartz_gls import cli, functionals, gaussian_lp_exact, witness
+from strichartz_gls import GaussianSpec, cli, functionals, witness
 from strichartz_gls.cli import main, report, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -556,6 +556,7 @@ CONFIG_FAULTS = [
     ("mixed_norm", ("curve", "count"), 10 ** 12, "curve.count"),
     ("norms_gaussian", ("grid", "N"), 2 ** 63, "grid.N"),
     ("norms_gaussian", ("grid", "N"), 2 ** 25, "grid.N"),
+    ("propagate_heat", ("d",), 3, "grid.N"),  # 256^3 nodes: one CSV row each
     # mixed_norm needs at least 8 samples: each value below used to exit 2
     ("mixed_norm", ("curve", "count"), 0, "curve.count"),
     ("mixed_norm", ("curve", "count"), 3, "curve.count"),
@@ -707,7 +708,7 @@ def test_norms_of_a_complex_variance_gaussian_are_exact(tmp_path):
     rows = list(csv.reader((tmp_path / "out" / "norms_gaussian.csv").read_text().splitlines()))[1:]
     assert len(rows) == 7
     for p, value, provenance in rows:
-        want = gaussian_lp_exact(complex(1.0, 0.5), 1, float(p))
+        want = GaussianSpec(complex(1.0, 0.5), 1).lp(float(p))
         assert float(value) == pytest.approx(want, rel=1e-14) and provenance == "grid"
 
 

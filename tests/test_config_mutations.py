@@ -3,8 +3,9 @@
 Each base is a shipped config with its grid cut to at most 256 points per
 axis, so every mutated run stays cheap.  Replacement values avoid the
 dimensions 2 and 3 and integers above 16 for the same reason: a count or grid
-size is capped only by cli's MAX_* limits (2^24 nodes, 4096 times, 2^20 curve
-samples), each far above what a fast test should allocate.
+size is capped only by cli's MAX_* limits (2^24 nodes, 2^20 for a propagate
+run, 4096 times, 2^20 curve samples), each far above what a fast test should
+allocate.
 """
 
 import copy

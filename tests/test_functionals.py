@@ -16,7 +16,6 @@ from strichartz_gls import (
     PsiSpec,
     fit_rate,
     fractional,
-    gaussian_lp_exact,
     gaussian_sample,
     make_grid,
     mixed_norm,
@@ -376,7 +375,7 @@ def test_curve_fit_matches_closed_form_slope():
 
 # -------------------------------------------------------------- mixed_norm
 
-def test_mixed_norm_degenerate_power_curve():
+def test_mixed_norm_degenerate_power_curve(tmp_path):
     # y = t^{-1/4} on (0, T]: the L_q integral in time is T^{1-q/4}/(1-q/4)
     t = np.geomspace(1e-9, 4.0, 8001)
     y = t ** -0.25
@@ -385,6 +384,20 @@ def test_mixed_norm_degenerate_power_curve():
     expected = (4.0 ** (1 - q / 4.0) / (1 - q / 4.0)) ** (1 / q)
     assert got == pytest.approx(expected, rel=1e-3)
     assert expected == pytest.approx(2.0)
+    # the shipped config, c t^s on [t_min, T]: c ((T^(sq+1) - t_min^(sq+1)) / (sq+1))^(1/q)
+    config = Path(__file__).resolve().parents[1] / "configs" / "mixed_norm.json"
+    spec = json.loads(config.read_text())
+    assert spec["theta"]["s"] == q and "t_min" not in spec["curve"]
+    assert cli.run(str(config), str(tmp_path)) == 0
+    shipped = json.loads((tmp_path / "mixed_norm_summary.json").read_text())["value"]
+    c, s, t_max = (spec["curve"][k] for k in ("coef", "power", "t_max"))
+    t_min = 1e-12
+    closed = c * ((t_max ** (s * q + 1) - t_min ** (s * q + 1)) / (s * q + 1)) ** (1 / q)
+    assert shipped == pytest.approx(closed, rel=1e-5)  # 5.69e-6 high at 2048 samples
+    # the trapezoid rule converges at second order: 8 times the samples, a gap 64 times smaller
+    gaps = [abs(mixed_norm(t, c * t ** s, PsiSpec.degenerate(q)) - closed)
+            for t in (np.geomspace(t_min, t_max, n) for n in (2048, 16384))]
+    assert gaps[0] / gaps[1] > 50
 
 
 def test_mixed_norm_divergence_flag():

@@ -13,7 +13,6 @@ from strichartz_gls import (
     GridFunction,
     PsiSpec,
     box_indicator,
-    gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
     make_grid,
@@ -116,11 +115,11 @@ def test_lp_norm_rejects_small_exponent():
 
 
 def test_gaussian_lp_exact_basics():
-    assert gaussian_lp_exact(1.0, 1, 1.0) == pytest.approx(1.0)
-    assert gaussian_lp_exact(1.0, 1, 2.0) == pytest.approx((4 * math.pi) ** -0.25, rel=1e-14)
-    assert gaussian_lp_exact(1.0, 1, INF) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-14)
+    assert GaussianSpec(1.0, 1).lp(1.0) == pytest.approx(1.0)
+    assert GaussianSpec(1.0, 1).lp(2.0) == pytest.approx((4 * math.pi) ** -0.25, rel=1e-14)
+    assert GaussianSpec(1.0, 1).lp(INF) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-14)
     with pytest.raises(ValueError):
-        gaussian_lp_exact(-1.0, 1, 2.0)
+        GaussianSpec(-1.0, 1).lp(2.0)
 
 
 def test_gaussian_lp_exact_scaling_law():
@@ -128,7 +127,7 @@ def test_gaussian_lp_exact_scaling_law():
     for q in (1.0, 1.5, 2.0, 4.0, INF):
         inv_q = 0.0 if q == INF else 1.0 / q
         for s in (0.25, 4.0, 9.0):
-            ratio = gaussian_lp_exact(s, 1, q) / gaussian_lp_exact(1.0, 1, q)
+            ratio = GaussianSpec(s, 1).lp(q) / GaussianSpec(1.0, 1).lp(q)
             assert ratio == pytest.approx(math.sqrt(s) ** (-(1.0 - inv_q)), rel=1e-12)
 
 
@@ -139,7 +138,7 @@ def test_gaussian_lp_exact_at_inf_is_the_sup_formula_bit_for_bit(d):
         for s2 in (s, 1.0 + 1j * s, s + 3j * s):
             v = GaussianSpec(s2, d).envelope_variance
             sup = (v / abs(complex(s2))) ** (d / 2.0) * (2.0 * math.pi * v) ** (-d / 2.0)
-            assert gaussian_lp_exact(s2, d, INF) == sup
+            assert GaussianSpec(s2, d).lp(INF) == sup
 
 
 @pytest.mark.parametrize("sigma2", [1.0 + 1e200j, 1e160, 1e308 + 1e308j])
@@ -150,7 +149,7 @@ def test_an_overflowing_envelope_variance_names_sigma2(sigma2):
     with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
         GaussianSpec(sigma2, 1).envelope_variance
     with pytest.raises(OverflowError, match="^sigma2 = "):
-        gaussian_lp_exact(sigma2, 1, 2.0)
+        GaussianSpec(sigma2, 1).lp(2.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, INF])
@@ -158,7 +157,7 @@ def test_gaussian_lp_exact_complex_vs_quadrature(q):
     g = make_grid(1, 40.0, 2048)
     s2 = 1.0 + 2.0j
     f = gaussian_sample(g, GaussianSpec(s2, 1))
-    assert lp_norm(f, q) == pytest.approx(gaussian_lp_exact(s2, 1, q), rel=1e-10)
+    assert lp_norm(f, q) == pytest.approx(GaussianSpec(s2, 1).lp(q), rel=1e-10)
 
 
 def test_moment_profile_indicator_law():

@@ -26,7 +26,6 @@ from strichartz_gls import (  # noqa: E402
     PsiSpec,
     box_indicator,
     gaussian_gls_exact,
-    gaussian_lp_exact,
     gaussian_sample,
     lp_norm,
     make_grid,
@@ -47,7 +46,7 @@ _KERNEL_NORMS = {}
 def kernel_norm(name: str, t: float) -> float:
     """||g_t||_{G(nu)} from the exact Gaussian moments, over the exponents nu samples."""
     if (name, t) not in _KERNEL_NORMS:
-        _KERNEL_NORMS[name, t] = gaussian_gls_exact(t, 1, WEIGHTS[name])
+        _KERNEL_NORMS[name, t] = gaussian_gls_exact(GaussianSpec(t, 1), WEIGHTS[name])
     return _KERNEL_NORMS[name, t]
 
 
@@ -113,8 +112,8 @@ def lp_constant(p: float, r: float, t: float) -> float:
     the sup is the limit s -> 0, where |g_s|_1 = 1: C(t) = |g_t|_r."""
     s = maximizer_variance(p, r, t)
     if s == 0.0:
-        return gaussian_lp_exact(t, 1, r)
-    return gaussian_lp_exact(s + t, 1, r) / gaussian_lp_exact(s, 1, p)
+        return GaussianSpec(t, 1).lp(r)
+    return GaussianSpec(s + t, 1).lp(r) / GaussianSpec(s, 1).lp(p)
 
 
 def lp_ratio(f: GridFunction, p: float, r: float) -> float:
@@ -125,7 +124,7 @@ def lp_ratio(f: GridFunction, p: float, r: float) -> float:
 @pytest.mark.parametrize("p, r", PAIRS)
 def test_lp_constant_is_the_sup_over_gaussian_variances(p, r):
     s = np.geomspace(1e-6, 1e6, 1201)
-    ratios = [gaussian_lp_exact(x + T_LP, 1, r) / gaussian_lp_exact(x, 1, p) for x in s]
+    ratios = [GaussianSpec(x + T_LP, 1).lp(r) / GaussianSpec(x, 1).lp(p) for x in s]
     assert max(ratios) <= lp_constant(p, r, T_LP) * (1.0 + 1e-12)
     assert max(ratios) >= lp_constant(p, r, T_LP) * (1.0 - 1e-3)
 

@@ -26,7 +26,6 @@ from strichartz_gls import (
     make_grid,
     mixed_norm,
     moment_profile,
-    propagate_gaussian_exact,
     sp_witness,
     v_sr_curve,
     w_sp_curve,
@@ -238,7 +237,7 @@ def test_sp_exponent_refuses_the_schrodinger_group_with_one_message(caller, tmp_
         calls[caller]()
 
 
-@pytest.mark.parametrize("caller", ["propagate_gaussian_exact", "sp_witness",
+@pytest.mark.parametrize("caller", ["GaussianSpec.evolve", "sp_witness",
                                     "cli-witness-sp-fractional"])
 def test_the_exact_evolution_refuses_an_order_other_than_2_with_one_message(
         caller, tmp_path, capsys, monkeypatch):
@@ -246,8 +245,7 @@ def test_the_exact_evolution_refuses_an_order_other_than_2_with_one_message(
         _sp_flow_fault(caller, tmp_path, capsys, monkeypatch)
         return
     grid = make_grid(1, 64.0, 1024)
-    calls = {"propagate_gaussian_exact": lambda: propagate_gaussian_exact(
-                 GaussianSpec(1.0, 1), fractional(1.5), 3.0),
+    calls = {"GaussianSpec.evolve": lambda: GaussianSpec(1.0, 1).evolve(fractional(1.5), 3.0),
              "sp_witness": lambda: sp_witness(PsiSpec.degenerate(2.0), [3.0, 4.0, 5.0, 6.0],
                                               grid, kind=fractional(1.5))}
     with pytest.raises(ValueError, match=re.escape(EXACT_REFUSAL)):

@@ -14,7 +14,6 @@ from strichartz_gls import (
     box_indicator,
     check_window,
     fractional,
-    gaussian_lp_exact,
     gaussian_moment_law_check,
     gaussian_sample,
     laplacian_propagate,
@@ -22,7 +21,6 @@ from strichartz_gls import (
     make_grid,
     moment_profile,
     propagate,
-    propagate_gaussian_exact,
     safe_time_bound,
     sr_witness,
     w_sp_curve,
@@ -63,8 +61,7 @@ def test_schrodinger_gaussian_exactness(d, L, n, t):
     f = gaussian_sample(g, GaussianSpec(1.0, d))
     assert t <= safe_time_bound(g, SCHRODINGER, 1.0)
     u = propagate(f, SCHRODINGER, t)
-    s2 = propagate_gaussian_exact(GaussianSpec(1.0, d), SCHRODINGER, t)
-    exact = gaussian_sample(g, GaussianSpec(s2, d))
+    exact = gaussian_sample(g, GaussianSpec(1.0, d).evolve(SCHRODINGER, t))
     num = lp_norm(u + (-1.0) * exact, INF)
     assert num / lp_norm(exact, INF) < 1e-10
 
@@ -144,7 +141,7 @@ def test_propagate_rejects_negative_time_for_dissipative():
     # the flow, its exact Gaussian evolution and its window state one backward-time rule
     messages = set()
     for refuse in (lambda: propagate(f, HEAT, -1.0),
-                   lambda: propagate_gaussian_exact(GaussianSpec(1.0, 1), HEAT, -1.0),
+                   lambda: GaussianSpec(1.0, 1).evolve(HEAT, -1.0),
                    lambda: check_window([-1.0], g, HEAT, name="t")):
         with pytest.raises(ValueError) as e:
             refuse()
@@ -189,14 +186,15 @@ def test_the_record_refuses_an_inconsistent_flow(args, match):
 
 
 def test_exact_gaussian_evolution_specs():
-    assert propagate_gaussian_exact(GaussianSpec(1.0, 1), HEAT, 3.0) == 4.0
-    assert propagate_gaussian_exact(GaussianSpec(1.0, 1), SCHRODINGER, 3.0) == 1.0 + 3.0j
+    g = GaussianSpec(1.0, 1)
+    assert g.evolve(HEAT, 3.0).sigma2 == 4.0
+    assert g.evolve(SCHRODINGER, 3.0).sigma2 == 1.0 + 3.0j
     # S_2(t) = T_2t: order 2 doubles the heat variance increment
-    assert propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(2.0), 3.0) == 7.0
+    assert g.evolve(fractional(2.0), 3.0).sigma2 == 7.0
     with pytest.raises(ValueError):
-        propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(2.0), -1.0)
+        g.evolve(fractional(2.0), -1.0)
     with pytest.raises(ValueError):
-        propagate_gaussian_exact(GaussianSpec(1.0, 1), fractional(1.5), 3.0)
+        g.evolve(fractional(1.5), 3.0)
 
 
 def test_schrodinger_sup_norm_law():
@@ -214,7 +212,7 @@ def test_schrodinger_lq_matches_complex_variance_formula():
     u = propagate(f, SCHRODINGER, t)
     for q in (2.0, 3.0, INF):
         assert lp_norm(u, q) == pytest.approx(
-            gaussian_lp_exact(1.0 + 1j * t, 1, q), rel=1e-9
+            GaussianSpec(1.0 + 1j * t, 1).lp(q), rel=1e-9
         )
 
 
@@ -311,7 +309,7 @@ def test_every_flow_refuses_a_non_finite_time(kind, t):
     f = gaussian_sample(make_grid(1, 40.0, 64), GaussianSpec(1.0, 1))
     calls = [lambda: propagate(f, kind, t)]
     if kind.order == 2:
-        calls.append(lambda: propagate_gaussian_exact(GaussianSpec(1.0, 1), kind, t))
+        calls.append(lambda: GaussianSpec(1.0, 1).evolve(kind, t))
     if kind.alpha is not None:
         calls.append(lambda: laplacian_propagate(f, kind.alpha, t))
     for call in calls:

@@ -11,17 +11,18 @@ from strichartz_gls import cli, functionals, spaces, witness
 from strichartz_gls import (
     HEAT,
     INF,
+    SCHRODINGER,
     GaussianSpec,
     PsiSpec,
     WitnessReport,
     fit_rate,
     fractional,
     gaussian_gls_exact,
-    gaussian_lp_exact,
     gaussian_sample,
     gaussian_moment_law_check,
     lp_norm,
     make_grid,
+    predicted_rate,
     propagate,
     sp_witness,
     sr_witness,
@@ -100,7 +101,7 @@ def test_sp_witness_heat_moments_match_exact_law():
         u = propagate(f, HEAT, t)
         for p in (2.0, 3.0, 4.0):
             assert lp_norm(u, p) == pytest.approx(
-                gaussian_lp_exact(1.0 + t, 1, p), rel=1e-8
+                GaussianSpec(1.0 + t, 1).lp(p), rel=1e-8
             )
 
 
@@ -138,7 +139,7 @@ def test_sp_witness_checks_nu_once_before_its_first_time(monkeypatch):
                         lambda psi, name: names.append(name) or check_covered(psi, name))
     sp_witness(PsiSpec.table({2.0: 1.0, 4.0: 1.0}), SP_TIMES, SP_GRID)
     assert names == ["nu"]
-    monkeypatch.setattr(witness, "propagate_gaussian_exact", lambda *a: pytest.fail("evolved"))
+    monkeypatch.setattr(GaussianSpec, "evolve", lambda *a: pytest.fail("evolved"))
     with pytest.raises(spaces.CoverageError, match=r"^weight nu: profile grid does not cover"):
         sp_witness(PsiSpec.table({2.0: 1.0, 2.01: 1.0}), SP_TIMES, SP_GRID)
 
@@ -214,7 +215,7 @@ def test_moment_law_d3_matches_closed_form_slopes():
     t = np.array([2.5, 2.9, 3.3, 3.8])
     rows = gaussian_moment_law_check([4.0, INF], t, make_grid(3, 24.0, 128))
     for r, fitted, _ in rows:
-        exact = fit_rate(t, [gaussian_lp_exact(1.0 + 1j * ti, 3, r) for ti in t]).slope
+        exact = fit_rate(t, [GaussianSpec(1.0 + 1j * ti, 3).lp(r) for ti in t]).slope
         assert abs(fitted - exact) < GAP_TOL * abs(exact)
 
 
@@ -262,8 +263,8 @@ def test_witness_report_is_its_four_arrays():
 @pytest.mark.parametrize("d", [1, 3])
 def test_gaussian_gls_exact_of_a_degenerate_weight_is_the_lp_norm(sigma2, d):
     for s in (1.0, 2.5, INF):
-        want = gaussian_lp_exact(sigma2, d, s)
-        assert gaussian_gls_exact(sigma2, d, PsiSpec.degenerate(s)) == want
+        want = GaussianSpec(sigma2, d).lp(s)
+        assert gaussian_gls_exact(GaussianSpec(sigma2, d), PsiSpec.degenerate(s)) == want
 
 
 # (d, nu = zeta(a2, b2; alpha2, beta2)) of the Laplace-limit check
@@ -284,8 +285,57 @@ def test_gaussian_gls_exact_tends_to_its_laplace_limit(d, zeta, v):
     1 and exp(2 c / log v): on the side of that term, and within twice its size."""
     a, b, alpha, beta = zeta
     log_v = math.log(v)
-    limit = gaussian_lp_exact(v, d, a) * (2.0 * alpha * a * a / (d * math.e * log_v)) ** alpha
-    exact = gaussian_gls_exact(v, d, PsiSpec.zeta(a, b, alpha, beta))
+    limit = GaussianSpec(v, d).lp(a) * (2.0 * alpha * a * a / (d * math.e * log_v)) ** alpha
+    exact = gaussian_gls_exact(GaussianSpec(v, d), PsiSpec.zeta(a, b, alpha, beta))
     c = alpha * (2.0 * alpha * a / d - 1.0 + math.log(a / (2.0 * math.pi)))
     lo, hi = sorted((1.0, math.exp(2.0 * c / log_v)))
     assert lo < exact / limit < hi
+
+
+def family_bound(kind, d: int, psi: PsiSpec, nu: PsiSpec, t: float, ratios) -> float:
+    """L(t) = max over sigma2 = ratio * t of ||g_sigma2 evolved to t||_nu / ||g_sigma2||_psi:
+    a lower bound on the norm of the flow from G(psi) to G(nu), read off the exact Gaussians."""
+    return max(gaussian_gls_exact(GaussianSpec(s2, d).evolve(kind, t), nu)
+               / gaussian_gls_exact(GaussianSpec(s2, d), psi) for s2 in (ratios * t).tolist())
+
+
+# (flow, source, psi's exponent, nu's exponent, predicted_rate's parameters)
+CONTROL_ROWS = [(HEAT, "heat-lp", p, r, {"p": p, "r": r})
+                for p, r in ((1.0, 2.0), (1.5, 3.0), (2.0, INF))] + [
+               (SCHRODINGER, "schrodinger-lp", 1.0 / (1.0 - 1.0 / p), p, {"p": p})
+               for p in (2.0, 4.0, 6.0, INF)]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind, source, p, r, params", CONTROL_ROWS,
+                         ids=[f"{row[1]}-{row[2]:g}-{row[3]:g}" for row in CONTROL_ROWS])
+def test_the_gaussian_family_bound_has_the_predicted_lp_power(kind, source, p, r, params, d):
+    # L(t) is self-similar in t over the sigma2 / t grid, so its power is exact up to rounding
+    ratios = np.geomspace(1e-10, 1e4, 1401)
+    psi, nu = PsiSpec.degenerate(p), PsiSpec.degenerate(r)
+    lo, hi = (family_bound(kind, d, psi, nu, t, ratios) for t in (1e10, 1e30))
+    power = math.log(hi / lo) / math.log(1e20)
+    assert abs(power - predicted_rate(source, d=d, **params).power) < 1e-9
+
+
+# (d, psi = zeta(a1, b1; alpha1, beta1), nu = zeta(a2, b2; alpha2, beta2)) of the heat flow
+ZETA_FAMILY_ROWS = [(1, (1.2, 2.0, 1.0, 1.0), (3.0, 6.0, 1.0, 1.0)),
+                    (1, (1.0, 2.0, 1.0, 1.0), (2.5, 8.0, 0.5, 1.0)),
+                    (2, (1.0, 2.0, 1.0, 1.0), (2.5, 8.0, 0.5, 1.0)),
+                    (1, (1.2, 2.5, 2.0, 1.0), (3.0, 6.0, 0.5, 1.0)),
+                    (1, (1.2, 2.5, 0.0, 1.0), (3.0, 6.0, 2.0, 1.0))]
+
+
+@pytest.mark.parametrize("d, zeta1, zeta2", ZETA_FAMILY_ROWS, ids=lambda x: str(x))
+def test_the_gaussian_family_bound_has_the_log_power_alpha1_minus_alpha2(d, zeta1, zeta2):
+    # With predicted_rate's power taken out, L(t) grows like (log t)^(alpha1 - alpha2): each
+    # norm carries (c / log v)^alpha of its own weight.  predicted_rate's log power is
+    # alpha2 - alpha1, the opposite sign; this checks the Gaussian family alone.
+    (a1, _, alpha1, _), (a2, _, alpha2, _) = zeta1, zeta2
+    power = predicted_rate("parabolic-zeta", d=d, a1=a1, a2=a2, alpha1=alpha1,
+                           alpha2=alpha2).power
+    ratios = np.geomspace(1e-8, 1e2, 201)
+    lo, hi = (family_bound(HEAT, d, PsiSpec.zeta(*zeta1), PsiSpec.zeta(*zeta2), t, ratios)
+              / t ** power for t in (1e100, 1e150))
+    log_power = math.log(hi / lo) / math.log(math.log(1e150) / math.log(1e100))
+    assert abs(log_power - (alpha1 - alpha2)) < 0.05
